@@ -13,31 +13,17 @@ from .analysis import (
 )
 from .checks import CHECKS, CheckResult
 from .core import (
-    AgeState,
     BackoffParams,
-    FrameOutcome,
     NetworkConfig,
     ParameterError,
     ParamsReport,
     RngStream,
-    discretize_timer,
     drift_alpha_threshold,
     match_alpha_threshold,
     recommended_defaults,
-    sample_exponential,
-    sample_exponential_log,
     validate_params,
 )
-from .engine import (
-    MarkovNetState,
-    MetricsAccumulator,
-    SimulationResult,
-    make_policy,
-    run,
-    step_idealized,
-    step_markov,
-    step_near_realistic,
-)
+from .engine import SimulationResult, run
 from .experiments import (
     ConfigError,
     ExperimentSpec,
@@ -47,13 +33,7 @@ from .experiments import (
     write_csv,
 )
 from .policies import (
-    Policy,
     PolicyKind,
-    TimerVector,
-    fresh_csma_timers,
-    idealized_csma_timers,
-    max_aoii_decide,
-    max_weight_decide,
     scheduling_probabilities,
     stationary_randomized_probs,
 )
@@ -61,19 +41,13 @@ from .policies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeState", "BackoffParams", "BoundReport", "CHECKS", "CheckResult",
-    "ConfigError", "ExperimentSpec", "FrameOutcome", "MarkovNetState",
-    "MetricsAccumulator", "NetworkConfig", "ParameterError", "ParamsReport",
-    "Policy", "PolicyKind", "RngStream", "SimulationResult", "TimerVector",
-    "discretize_timer", "distinct_timer_bound", "drift_alpha_threshold",
-    "fresh_csma_timers", "idealized_csma_timers", "lyapunov_drift_pair",
-    "make_policy", "match_alpha_threshold", "max_aoii_decide",
-    "max_aoii_match_probability", "max_weight_decide",
-    "max_weight_match_probability", "overhead_upper_bound", "parse_config",
-    "preset", "recommended_defaults", "run", "run_experiment",
-    "sample_exponential", "sample_exponential_log",
-    "scheduling_probabilities", "stationary_randomized_probs",
-    "step_idealized", "step_markov", "step_near_realistic",
-    "timer_separation_term", "upper_incomplete_gamma_zero",
-    "validate_params", "write_csv",
+    "BackoffParams", "BoundReport", "CHECKS", "CheckResult", "ConfigError",
+    "ExperimentSpec", "NetworkConfig", "ParameterError", "ParamsReport",
+    "PolicyKind", "RngStream", "SimulationResult", "distinct_timer_bound",
+    "drift_alpha_threshold", "lyapunov_drift_pair", "match_alpha_threshold",
+    "max_aoii_match_probability", "max_weight_match_probability",
+    "overhead_upper_bound", "parse_config", "preset", "recommended_defaults",
+    "run", "run_experiment", "scheduling_probabilities",
+    "stationary_randomized_probs", "timer_separation_term",
+    "upper_incomplete_gamma_zero", "validate_params", "write_csv",
 ]

@@ -7,6 +7,7 @@ one-frame Lyapunov drifts.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ from .core import (
 from .policies import scheduling_probabilities, stationary_randomized_probs
 
 EULER_GAMMA = 0.5772156649015329
+# ln of the smallest normal double.
+LN_MIN_NORMAL = math.log(sys.float_info.min)
 
 _GAMMA_EPS = 1e-15
 _GAMMA_MAX_ITER = 400
@@ -198,6 +201,10 @@ def overhead_upper_bound_from_log_rate(log_total_rate: float,
     arg_log = log_total_rate - params.b_offset * params.ln_beta
     if arg_log > 700.0:
         gamma0 = 0.0  # Gamma(0,x) <= e^-x / x: dead zero past float range
+    elif arg_log < LN_MIN_NORMAL:
+        # exp() would lose precision or underflow to 0 here; the series'
+        # leading terms -ln x - euler_gamma are off by at most x.
+        gamma0 = -arg_log - EULER_GAMMA
     else:
         gamma0 = upper_incomplete_gamma_zero(math.exp(arg_log))
     slots = 1.0 + gamma0 / params.ln_beta

@@ -99,14 +99,14 @@ def check_max_aoii_match(trials: int = 10_000, n: int = 10,
 # Closed-form win distribution against sampled contention
 # ---------------------------------------------------------------------------
 
-def check_winner_distribution(states: int = 20, samples: int = 100_000,
+def check_winner_distribution(trials: int = 20, samples: int = 100_000,
                               seed: int = DEFAULT_SEED) -> CheckResult:
     """Empirical winner frequencies of the idealized contention match the
     closed-form distribution within 3 Monte Carlo standard errors."""
     stream = _state_stream(seed)
     grid = [(n, alpha) for n in (2, 5, 10) for alpha in (1.1, 2.0, 9.0)]
     worst = math.inf
-    for s in range(states):
+    for s in range(trials):
         n, alpha = grid[s % len(grid)]
         ages = np.array([1 + stream.integer(8) for _ in range(n)])
         weights = np.ones(n)
@@ -120,7 +120,7 @@ def check_winner_distribution(states: int = 20, samples: int = 100_000,
         margin = float((3.0 * stderr - np.abs(wins - probs)).min())
         worst = min(worst, margin)
     return CheckResult(name="contention winner distribution", ok=worst >= 0.0,
-                       worst_margin=worst, trials=states,
+                       worst_margin=worst, trials=trials,
                        detail=f"{samples} contentions per state, "
                               f"margin = 3*stderr - |freq - closed form|")
 
@@ -189,13 +189,13 @@ def check_distinct_timer_bound(samples: int = 100_000,
 # Idle-time bound
 # ---------------------------------------------------------------------------
 
-def check_idle_time_bound(states: int = 10, samples: int = 100_000,
+def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
                           n: int = 10, seed: int = DEFAULT_SEED) -> CheckResult:
     """Sampled mean winning timer stays below the closed-form idle-time
     bound at random states."""
     stream = _state_stream(seed)
     worst = math.inf
-    for _ in range(states):
+    for _ in range(trials):
         ages = np.array([1 + stream.integer(10) for _ in range(n)])
         weights = np.ones(n)
         params = BackoffParams(alpha=1.2, beta=1.0 + 0.1 + 0.4 * stream.uniform(),
@@ -209,7 +209,7 @@ def check_idle_time_bound(states: int = 10, samples: int = 100_000,
         bound = overhead_upper_bound(ages, weights, params, minislots=True)
         worst = min(worst, bound - mean_d)
     return CheckResult(name="idle-time upper bound", ok=worst >= 0.0,
-                       worst_margin=worst, trials=states,
+                       worst_margin=worst, trials=trials,
                        detail=f"{samples} contentions per state, "
                               "margin in minislots = bound - sampled mean")
 

@@ -10,6 +10,7 @@ a named analytical check.  Exit codes: 0 success / all checks pass,
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -18,7 +19,6 @@ from pathlib import Path
 
 from .checks import CHECKS, DEFAULT_SEED
 from .core import ParameterError
-from .engine import run
 from .experiments import (
     ConfigError,
     PRESET_NAMES,
@@ -27,9 +27,9 @@ from .experiments import (
     preset,
     resolve_points,
     run_experiment,
+    run_replication,
     write_csv,
 )
-from .policies import Policy, PolicyKind
 
 OUTPUT_DIR_ENV = "AOISIM_OUTPUT_DIR"
 
@@ -74,16 +74,8 @@ def _write_trace(spec: ExperimentSpec, trace_path: str) -> None:
     if len(spec.policies) != 1 or spec.sweep_param is not None:
         raise ConfigError("--trace needs a single policy and no sweep")
     point = resolve_points(spec)[0]
-    from .core import RngStream  # local import keeps module surface tidy
-
-    engine_stream = RngStream(spec.base_seed, (0, 0))
-    policy_stream = RngStream(spec.base_seed,
-                              (0, 1, list(PolicyKind).index(spec.policies[0])))
-    policy = Policy(spec.policies[0], point.config, point.params,
-                    stream=policy_stream)
     with open(trace_path, "w", encoding="utf-8") as fh:
-        run(point.config, policy, point.params, engine_stream,
-            markov_q=spec.markov_q, horizon_unit=spec.horizon_unit, trace=fh)
+        run_replication(spec, point, spec.policies[0], 0, trace=fh)
     print(f"trace written to {trace_path}")
 
 
@@ -141,13 +133,16 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     check = CHECKS[args.check]
     kwargs = {"seed": args.seed if args.seed is not None else DEFAULT_SEED}
-    if args.trials is not None:
-        if args.check in ("thm1", "thm5", "lemma2"):
-            kwargs["trials"] = args.trials
-        else:
-            kwargs["states"] = args.trials
-    if args.samples is not None and args.check in ("lemma1", "thm3", "thm4"):
-        kwargs["samples"] = args.samples
+    accepted = inspect.signature(check).parameters
+    for name in ("trials", "samples"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in accepted:
+            print(f"usage error: verify {args.check} does not take --{name}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        kwargs[name] = value
     result = check(**kwargs)
     print(result.summary())
     return EXIT_OK if result.ok else EXIT_FAIL

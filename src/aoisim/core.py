@@ -1,10 +1,9 @@
-"""Shared domain types, seeded randomness, and scalar timer kernels.
+"""Shared domain types, seeded randomness, and log-domain timer kernels.
 
 Everything rate-related is kept in log domain: a contention rate of the
 form alpha**(w * age**2) overflows 64-bit floats as soon as the exponent
 times ln(alpha) passes ~700, so rates travel as log-rates and timers are
-compared through their logarithms.  Linear-domain values exist only for
-reporting and for cross-checking small cases.
+compared through their logarithms.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-# Exponents above this cannot be materialized as linear-domain rates.
-SAFE_LINEAR_LOG_RATE = 700.0
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -34,9 +30,7 @@ class RngStream:
 
     A stream is identified by a 64-bit seed plus a path of non-negative
     integer substream ids.  Identical (seed, path, call sequence) always
-    reproduces identical draws bit-for-bit.  Every draw is funnelled
-    through a single buffered uniform source so the call sequence is the
-    only thing that matters.
+    reproduces identical draws bit-for-bit.
     """
 
     _BUFFER = 4096
@@ -79,25 +73,36 @@ class RngStream:
         return self._gen.random(n)
 
     def unit_exponentials(self, n: int) -> np.ndarray:
-        """Bulk inverse-CDF draws from exp(1); strictly positive."""
+        """Bulk inverse-CDF draws from exp(1); strictly positive.
+
+        Zero uniforms are redrawn in place and numpy's log1p is used, so
+        the values are not those of exponential_sequence.
+        """
         u = self._gen.random(n)
         while np.any(u == 0.0):
             zeros = u == 0.0
             u[zeros] = self._gen.random(int(zeros.sum()))
         return -np.log1p(-u)
 
+    def exponential_sequence(self, n: int) -> np.ndarray:
+        """The next n terms of this stream's exp(1) sequence.
+
+        Term k is -log1p(-u) of the stream's k-th non-zero uniform, so the
+        sequence does not depend on how it is split into calls.  Each
+        term goes through math.log1p: numpy's vector log1p can differ from
+        it in the last bit, which would move float ties between timers.
+        """
+        u = self._gen.random(n)
+        while not u.all():
+            u = u[u != 0.0]
+            u = np.concatenate([u, self._gen.random(n - len(u))])
+        return -np.array(list(map(math.log1p, (-u).tolist())))
+
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ParameterError(f"integer() needs n >= 1, got {n}")
         return min(int(self.uniform() * n), n - 1)
-
-    def unit_exponential(self) -> float:
-        """Inverse-CDF draw from exp(1); strictly positive."""
-        u = self.uniform()
-        while u == 0.0:
-            u = self.uniform()
-        return -math.log1p(-u)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +167,10 @@ class BackoffParams:
     delta_scale: float = 0.01
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ParameterError(f"alpha must be > 1, got {self.alpha}")
-        if not self.beta > 1.0:
-            raise ParameterError(f"beta must be > 1, got {self.beta}")
+        if not 1.0 < self.alpha < math.inf:
+            raise ParameterError(f"alpha must be finite and > 1, got {self.alpha}")
+        if not 1.0 < self.beta < math.inf:
+            raise ParameterError(f"beta must be finite and > 1, got {self.beta}")
         if self.b_offset < 0:
             raise ParameterError(f"b_offset must be >= 0, got {self.b_offset}")
         if self.minislots_per_update < 1:
@@ -209,30 +214,6 @@ class AgeState:
         return cls(frame_age=np.ones(n_sources, dtype=np.int64),
                    clock_age=np.ones(n_sources, dtype=float))
 
-    @property
-    def n(self) -> int:
-        return len(self.frame_age)
-
-    def copy(self) -> "AgeState":
-        return AgeState(self.frame_age.copy(), self.clock_age.copy())
-
-
-@dataclass(frozen=True)
-class FrameOutcome:
-    """What happened in one contention frame."""
-
-    winners: frozenset[int]
-    min_timer: float
-    collided: bool
-    delivered: int | None
-    frame_duration: float
-
-    def __post_init__(self):
-        if self.collided != (len(self.winners) >= 2):
-            raise ParameterError("collided must hold exactly when >= 2 winners")
-        if (self.delivered is not None) != (len(self.winners) == 1):
-            raise ParameterError("delivered is set exactly when there is one winner")
-
 
 # ---------------------------------------------------------------------------
 # Log-domain rate construction
@@ -249,16 +230,6 @@ def aoii_log_rates(aoii: np.ndarray, alpha: float) -> np.ndarray:
     return np.asarray(aoii, dtype=float) * math.log(alpha)
 
 
-def linear_rates(log_rates: np.ndarray, max_log: float = SAFE_LINEAR_LOG_RATE) -> np.ndarray:
-    """Materialize linear-domain rates; refuses exponents that overflow."""
-    log_rates = np.asarray(log_rates, dtype=float)
-    if np.any(log_rates > max_log):
-        raise ParameterError(
-            f"log-rate {log_rates.max():.1f} exceeds the linear-domain safety "
-            f"threshold {max_log:.0f}; stay in log domain")
-    return np.exp(log_rates)
-
-
 def log_sum_exp(values: np.ndarray) -> float:
     """Stable log of a sum of exponentials."""
     values = np.asarray(values, dtype=float)
@@ -267,49 +238,15 @@ def log_sum_exp(values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Scalar timer kernels
+# Minislot discretization
 # ---------------------------------------------------------------------------
 
-def sample_exponential(stream: RngStream, log_rate: float) -> float:
-    """Draw Z ~ exp(rate) where ln(rate) = log_rate.
-
-    Computed as E * exp(-log_rate) from a unit exponential E, so the
-    rate itself is never formed.  For extreme log-rates the linear value
-    may round to 0 or inf; comparisons should use sample_exponential_log.
-    """
-    if not math.isfinite(log_rate):
-        raise ParameterError(f"log_rate must be finite, got {log_rate}")
-    return stream.unit_exponential() * math.exp(-log_rate)
-
-
-def sample_exponential_log(stream: RngStream, log_rate: float) -> float:
-    """Draw ln(Z) for Z ~ exp(rate) with ln(rate) = log_rate; always finite."""
-    if not math.isfinite(log_rate):
-        raise ParameterError(f"log_rate must be finite, got {log_rate}")
-    return math.log(stream.unit_exponential()) - log_rate
-
-
-def discretize_timer(params: BackoffParams, *, z: float | None = None,
-                     log_z: float | None = None) -> int:
-    """Map a continuous timer onto the minislot grid.
-
-    Returns max(B + floor(log_beta(z)), 0).  Accepts the timer either
-    directly or as log_z = ln(z), so callers already working in log
-    domain never exponentiate.
-    """
-    if (z is None) == (log_z is None):
-        raise ParameterError("pass exactly one of z or log_z")
-    if z is not None:
-        if not z > 0:
-            raise ParameterError(f"timer must be positive, got {z}")
-        log_z = math.log(z)
-    if not math.isfinite(log_z):
-        raise ParameterError(f"log_z must be finite, got {log_z}")
-    return max(params.b_offset + math.floor(log_z / params.ln_beta), 0)
-
-
 def discretize_log_timers(log_z: np.ndarray, params: BackoffParams) -> np.ndarray:
-    """Vector form of discretize_timer over ln-timers."""
+    """Map ln-timers onto the minislot grid: max(B + floor(log_beta(z)), 0).
+
+    Taking the timers as logs means callers never exponentiate, so rates
+    far beyond float range still land on the right minislot.
+    """
     slots = params.b_offset + np.floor(np.asarray(log_z, dtype=float) / params.ln_beta)
     return np.maximum(slots, 0).astype(np.int64)
 

@@ -1,40 +1,51 @@
 """Frame-by-frame network evolution under a chosen scheduling rule.
 
-Two channel models share one loop.  In the idealized slotted model a
-frame is one unit of time and continuous timers never tie, so every
-frame delivers.  In the near-realistic model timers count whole
-minislots: the frame lasts 1 + D/M time units where D is the winning
-timer, equal minima collide and waste the frame, and the idle head of
-the frame is charged as backoff overhead.  Markov two-state sources can
-be layered on either model to drive mismatch-age (AoII) scheduling.
+Every frame works the same way.  A centralized rule schedules one
+source.  Under contention each source draws an exponential timer at
+rate alpha**e_i, the smallest timer wins and equal minima collide.  The
+two channel models differ in two places only: the near-realistic model
+compares timers after mapping them onto the log-beta minislot grid, and
+its frames last 1 + D/M time units, where the winning minislot D is the
+idle head charged as backoff overhead; idealized frames last one unit.
+Markov two-state sources can be layered on either model to drive
+mismatch-age (AoII) scheduling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import IO
+from dataclasses import dataclass
+from typing import IO, Iterator
 
 import numpy as np
 
 from .core import (
     AgeState,
     BackoffParams,
-    FrameOutcome,
     NetworkConfig,
     ParameterError,
     RngStream,
+    aoi_log_rates,
+    aoii_log_rates,
 )
-from .policies import Policy, PolicyKind, TimerVector
+from .policies import (
+    RULES,
+    PolicyKind,
+    contention_keys,
+    max_aoii_decide,
+    max_weight_decide,
+    sample_from_probs,
+    stationary_randomized_probs,
+)
 
-# Substream ids under the root (seed,) stream.
-ENGINE_SUBSTREAM = 0
-POLICY_SUBSTREAM = 1
+# Frames of timer draws fetched per refill; the draws do not depend on it.
+_TIMER_BLOCK = 1024
 
 
 @dataclass
 class MarkovNetState:
     """Symmetric two-state Markov sources and the monitor's view of them.
 
+    Each source flips with probability q per frame, drawing from stream.
     aoii counts frames since the estimate last matched the true state;
     it is zero exactly while they agree and grows by one per frame of
     sustained mismatch.
@@ -44,9 +55,10 @@ class MarkovNetState:
     x_true: np.ndarray
     x_est: np.ndarray
     aoii: np.ndarray
+    stream: RngStream
 
     @classmethod
-    def initial(cls, q) -> "MarkovNetState":
+    def initial(cls, q, stream: RngStream) -> "MarkovNetState":
         q = np.atleast_1d(np.asarray(q, dtype=float))
         if np.any((q < 0) | (q > 1)):
             raise ParameterError(f"transition probabilities must be in [0,1], got {q}")
@@ -54,29 +66,8 @@ class MarkovNetState:
         return cls(q=q,
                    x_true=np.zeros(n, dtype=np.int8),
                    x_est=np.zeros(n, dtype=np.int8),
-                   aoii=np.zeros(n, dtype=np.int64))
-
-
-@dataclass
-class MetricsAccumulator:
-    """Running sums for time-averaged AoI/AoII, collisions and overhead."""
-
-    n: int
-    frame_count: int = 0
-    collision_count: int = 0
-    delivery_count: int = 0
-    overhead_sum_minislots: int = 0
-    elapsed_time: float = 0.0
-    frame_age_sum: np.ndarray = field(init=False)
-    clock_age_integral: np.ndarray = field(init=False)
-    aoii_sum: np.ndarray = field(init=False)
-    delivery_counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.frame_age_sum = np.zeros(self.n, dtype=float)
-        self.clock_age_integral = np.zeros(self.n, dtype=float)
-        self.aoii_sum = np.zeros(self.n, dtype=float)
-        self.delivery_counts = np.zeros(self.n, dtype=np.int64)
+                   aoii=np.zeros(n, dtype=np.int64),
+                   stream=stream)
 
 
 @dataclass(frozen=True)
@@ -105,175 +96,135 @@ class SimulationResult:
     seed: int
 
 
+def substreams(seed: int, prefix: tuple[int, ...], kind: PolicyKind,
+               n_sources: int) -> tuple[RngStream, RngStream, list[RngStream]]:
+    """The streams of one run: (engine, decision, per-source timers).
+
+    Under (seed, prefix) the engine owns prefix + (0,) and the policy
+    owns prefix + (1, k), k being kind's position in PolicyKind.  The
+    policy's decision stream is its child (0,) and source i's timer
+    stream its child (1 + i,); only contention kinds get timer streams.
+    Adding a policy, source or replication never shifts another's draws.
+    """
+    policy = prefix + (1, list(PolicyKind).index(kind))
+    contention = RULES[kind].decide == "contention"
+    return (RngStream(seed, prefix + (0,)), RngStream(seed, policy + (0,)),
+            [RngStream(seed, policy + (1 + i,))
+             for i in range(n_sources if contention else 0)])
+
+
+def _exponentials(sources: list[RngStream]) -> Iterator[np.ndarray]:
+    """One exp(1) draw per source per frame, refilled in blocks.
+
+    Each row is a view into the block, which the next refill overwrites.
+    """
+    block = np.empty((_TIMER_BLOCK, len(sources)))
+    while True:
+        for i, s in enumerate(sources):
+            block[:, i] = s.exponential_sequence(_TIMER_BLOCK)
+        yield from block
+
+
 # ---------------------------------------------------------------------------
-# Single-frame transitions
+# Single frames
 # ---------------------------------------------------------------------------
 
-def _resolve_timers(timers: TimerVector) -> tuple[np.ndarray, float]:
-    key = timers.comparison_key()
-    min_key = key.min()
-    winners = np.flatnonzero(key == min_key)
-    jmin = int(winners[0])
-    return winners, float(timers.values[jmin])
+def advance(ages: AgeState, markov: MarkovNetState | None,
+            delivered: int | None, duration: float | None = None) -> None:
+    """Advance the state in place over one frame.
 
-
-def _apply_frame_ages(ages: AgeState, delivered: int | None) -> None:
+    delivered is the source whose update got through, None after a
+    collision.  duration None is an idealized unit frame; otherwise the
+    frame lasted that many time units and the clock ages move with it.
+    Markov sources flip within the frame, so a delivery carries the
+    post-flip state; the mismatch ages update last.
+    """
     ages.frame_age += 1
     if delivered is not None:
         ages.frame_age[delivered] = 1
+    if duration is not None:
+        ages.clock_age += duration
+        if delivered is not None:
+            # The delivered update was generated at the frame start, so the
+            # monitor's information is exactly one frame-duration old.
+            ages.clock_age[delivered] = duration
+    if markov is not None:
+        markov.x_true ^= markov.stream.uniforms(len(markov.q)) < markov.q
+        if delivered is not None:
+            markov.x_est[delivered] = markov.x_true[delivered]
+        markov.aoii += 1
+        markov.aoii[markov.x_true == markov.x_est] = 0
 
 
-def step_idealized(ages: AgeState, policy: Policy,
-                   aoii: np.ndarray | None = None) -> FrameOutcome:
-    """Advance one unit-duration frame; updates ages in place.
+def frame_step(ages: AgeState, markov: MarkovNetState | None,
+               key: np.ndarray, minislots_per_update: int | None = None
+               ) -> tuple[int, bool, float | None]:
+    """Resolve one contention frame from its keys and advance the state.
 
-    Continuous timers tie only through floating-point coincidence; if
-    that ever happens the frame is counted as a collision rather than
-    silently picking a winner.
+    The smallest key wins and a shared minimum collides.  Keys are
+    ln-timers in the idealized model (minislots_per_update None) and
+    minislots in the near-realistic one, where the frame lasts 1 + D/M
+    for the smallest key D.  Colliding sources still transmit complete
+    updates that the base station cannot decode.  Returns the index of
+    the first smallest key, whether the frame collided, and the duration
+    passed to advance().
     """
-    if policy.kind.centralized:
-        j = policy.decide(ages, aoii)
-        outcome = FrameOutcome(winners=frozenset((j,)), min_timer=0.0,
-                               collided=False, delivered=j, frame_duration=1.0)
-    else:
-        if policy.kind.discrete_timers:
-            raise ParameterError(f"{policy.kind.value} emits minislot timers; "
-                                 "use step_near_realistic")
-        timers = policy.timers(ages, aoii)
-        winners, min_timer = _resolve_timers(timers)
-        collided = len(winners) > 1
-        outcome = FrameOutcome(
-            winners=frozenset(int(i) for i in winners),
-            min_timer=min_timer,
-            collided=collided,
-            delivered=None if collided else int(winners[0]),
-            frame_duration=1.0,
-        )
-    _apply_frame_ages(ages, outcome.delivered)
-    return outcome
-
-
-def step_near_realistic(ages: AgeState, policy: Policy, params: BackoffParams,
-                        aoii: np.ndarray | None = None) -> FrameOutcome:
-    """Advance one minislot-model frame; updates ages in place.
-
-    The frame spends D idle minislots (the minimum timer) before a full
-    M-minislot transmission, so it lasts 1 + D/M time units whether or
-    not it collides: colliding sources still transmit complete updates
-    that the base station cannot decode.
-    """
-    if not policy.kind.discrete_timers:
-        raise ParameterError(f"{policy.kind.value} does not emit minislot timers")
-    timers = policy.timers(ages, aoii)
-    winners, min_timer = _resolve_timers(timers)
-    d = int(min_timer)
-    duration = 1.0 + d / params.minislots_per_update
-    collided = len(winners) > 1
-    delivered = None if collided else int(winners[0])
-    outcome = FrameOutcome(
-        winners=frozenset(int(i) for i in winners),
-        min_timer=d,
-        collided=collided,
-        delivered=delivered,
-        frame_duration=duration,
-    )
-    _apply_frame_ages(ages, delivered)
-    ages.clock_age += duration
-    if delivered is not None:
-        # The delivered update was generated at the frame start, so the
-        # monitor's information is exactly one frame-duration old.
-        ages.clock_age[delivered] = duration
-    return outcome
-
-
-def step_markov(markov: MarkovNetState, ages: AgeState, policy: Policy,
-                params: BackoffParams | None, stream: RngStream,
-                model: str = "idealized") -> FrameOutcome:
-    """One frame with Markov source dynamics layered on the channel model.
-
-    Order within the frame: sources flip, contention resolves (the
-    policy sees the mismatch ages as of the previous frame end), a
-    unique winner refreshes the monitor's estimate with its
-    post-transition state, then the mismatch counters update.
-    """
-    n = len(markov.q)
-    flips = stream.uniforms(n) < markov.q
-    markov.x_true = np.where(flips, 1 - markov.x_true, markov.x_true).astype(np.int8)
-
-    if model == "idealized":
-        outcome = step_idealized(ages, policy, aoii=markov.aoii)
-    elif model == "near_realistic":
-        outcome = step_near_realistic(ages, policy, params, aoii=markov.aoii)
-    else:
-        raise ParameterError(f"unknown model {model!r}")
-
-    if outcome.delivered is not None:
-        markov.x_est[outcome.delivered] = markov.x_true[outcome.delivered]
-    matched = markov.x_true == markov.x_est
-    markov.aoii = np.where(matched, 0, markov.aoii + 1)
-    return outcome
+    j = int(key.argmin())
+    collided = np.count_nonzero(key == key[j]) > 1
+    duration = (None if minislots_per_update is None
+                else 1.0 + int(key[j]) / minislots_per_update)
+    advance(ages, markov, None if collided else j, duration)
+    return j, collided, duration
 
 
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
 
-def make_policy(kind: PolicyKind, config: NetworkConfig,
-                params: BackoffParams | None = None) -> Policy:
-    """Policy bound to the canonical substream layout for config.seed."""
-    root = RngStream(config.seed)
-    return Policy(kind, config, params,
-                  stream=root.child(POLICY_SUBSTREAM, _kind_index(kind)))
-
-
-def _kind_index(kind: PolicyKind) -> int:
-    return list(PolicyKind).index(kind)
-
-
-def _trace_line(frame: int, outcome: FrameOutcome) -> str:
-    winners = ",".join(str(i) for i in sorted(outcome.winners))
-    delivered = "-" if outcome.delivered is None else str(outcome.delivered)
-    return (f"frame={frame} min_timer={outcome.min_timer:g} winners={winners} "
-            f"collided={int(outcome.collided)} delivered={delivered} "
-            f"duration={outcome.frame_duration:.6f}")
-
-
-def run(config: NetworkConfig, policy: Policy,
-        params: BackoffParams | None = None,
-        stream: RngStream | None = None, *,
+def run(config: NetworkConfig, kind: PolicyKind,
+        params: BackoffParams | None = None, *,
+        prefix: tuple[int, ...] = (),
         markov_q: "float | np.ndarray | None" = None,
         horizon_unit: str = "frames",
         max_frames: int | None = None,
         trace: IO[str] | None = None) -> SimulationResult:
-    """Simulate config.horizon_frames frames (or delivered updates) and
-    return time-averaged metrics.
+    """Simulate config.horizon_frames frames (or delivered updates) of
+    kind's rule and return time-averaged metrics.
 
-    horizon_unit="deliveries" runs until config.horizon_frames updates
-    have been delivered, so collision-prone configurations are compared
-    at equal useful work; a frame cap (default 100x the target) turns a
-    non-delivering configuration into an error instead of a hang.
+    Draws come from substreams(config.seed, prefix, ...); experiments
+    pass prefix (rep,) per replication.  horizon_unit="deliveries" runs
+    until config.horizon_frames updates have been delivered, so
+    collision-prone configurations are compared at equal useful work; a
+    frame cap (default 100x the target) turns a non-delivering
+    configuration into an error instead of a hang.  trace, if given,
+    receives one line per frame.
     """
     if horizon_unit not in ("frames", "deliveries"):
         raise ParameterError(f"unknown horizon_unit {horizon_unit!r}")
-    if params is None:
-        params = policy.params
-    near_realistic = policy.kind.discrete_timers
-    if near_realistic and params is None:
-        raise ParameterError("near-realistic model needs backoff parameters")
-    if policy.kind.freshness == "aoii" and markov_q is None:
-        raise ParameterError(f"{policy.kind.value} needs Markov sources "
+    if kind not in RULES:
+        raise ParameterError(f"unknown policy kind {kind!r}")
+    rule = RULES[kind]
+    contention = rule.decide == "contention"
+    if contention and params is None:
+        raise ParameterError(f"{kind.value} needs backoff parameters")
+    if rule.signal == "aoii" and markov_q is None:
+        raise ParameterError(f"{kind.value} needs Markov sources "
                              "(markov_q) to compute mismatch ages")
-    if stream is None:
-        stream = RngStream(config.seed, (ENGINE_SUBSTREAM,))
 
     n = config.n_sources
+    w = config.weights_array
+    engine_stream, decision, sources = substreams(config.seed, prefix, kind, n)
     ages = AgeState.initial(n)
     markov = None
     if markov_q is not None:
         q = np.broadcast_to(np.atleast_1d(np.asarray(markov_q, dtype=float)),
                             (n,)).copy()
-        markov = MarkovNetState.initial(q)
-    metrics = MetricsAccumulator(n)
+        markov = MarkovNetState.initial(q, engine_stream)
+    if rule.decide == "stationary_randomized":
+        probs = stationary_randomized_probs(config.weights)
+    if contention:
+        exponentials = _exponentials(sources)
+        m = params.minislots_per_update if rule.discrete else None
 
     target = config.horizon_frames
     if horizon_unit == "deliveries":
@@ -281,72 +232,95 @@ def run(config: NetworkConfig, policy: Policy,
     else:
         cap = max_frames if max_frames is not None else target
 
+    frames = deliveries = overhead_minislots = 0
+    elapsed = 0.0
+    frame_age_sum = np.zeros(n)
+    clock_age_integral = np.zeros(n)
+    aoii_sum = np.zeros(n)
     while True:
         if horizon_unit == "frames":
-            if metrics.frame_count >= target:
+            if frames >= target:
                 break
         else:
-            if metrics.delivery_count >= target:
+            if deliveries >= target:
                 break
-            if metrics.frame_count >= cap:
+            if frames >= cap:
                 raise RuntimeError(
-                    f"frame cap {cap} reached with only {metrics.delivery_count} "
+                    f"frame cap {cap} reached with only {deliveries} "
                     f"of {target} deliveries; the configuration is not delivering")
 
         # Ages entering the frame feed the frame-mean AoI.
-        metrics.frame_age_sum += ages.frame_age
-        clock_before = ages.clock_age.copy() if near_realistic else None
-
-        if markov is not None:
-            outcome = step_markov(markov, ages, policy, params, stream,
-                                  model="near_realistic" if near_realistic
-                                  else "idealized")
-        elif near_realistic:
-            outcome = step_near_realistic(ages, policy, params)
+        frame_age_sum += ages.frame_age
+        if contention:
+            e = next(exponentials)
+            if rule.signal == "frame_age":
+                log_rate = aoi_log_rates(ages.frame_age, w, params.alpha)
+            elif rule.signal == "aoii":
+                log_rate = aoii_log_rates(markov.aoii, params.alpha)
+            else:
+                log_rate = params.ln_alpha
+            key = contention_keys(np.log(e), log_rate, params, rule.discrete)
+            clock_before = ages.clock_age.copy() if rule.discrete else None
+            j, collided, duration = frame_step(ages, markov, key, m)
         else:
-            outcome = step_idealized(ages, policy)
+            if rule.decide == "max_weight":
+                j = max_weight_decide(ages.frame_age, w, decision)
+            elif rule.decide == "max_aoii":
+                j = max_aoii_decide(markov.aoii, decision)
+            else:
+                j = sample_from_probs(probs, decision)
+            collided, duration = False, None
+            advance(ages, markov, j)
 
-        d = outcome.frame_duration
-        metrics.frame_count += 1
-        metrics.elapsed_time += d
-        if outcome.collided:
-            metrics.collision_count += 1
-        if outcome.delivered is not None:
-            metrics.delivery_count += 1
-            metrics.delivery_counts[outcome.delivered] += 1
-        if near_realistic:
-            metrics.overhead_sum_minislots += int(outcome.min_timer)
+        d = 1.0 if duration is None else duration
+        frames += 1
+        elapsed += d
+        if not collided:
+            deliveries += 1
+        if duration is not None:
+            overhead_minislots += int(key[j])
             # Duration-weighted age sampled at the frame start; under
             # unit-length frames this reduces exactly to the frame mean,
             # so both channel models report commensurable averages.
-            metrics.clock_age_integral += clock_before * d
+            clock_age_integral += clock_before * d
         if markov is not None:
-            metrics.aoii_sum += markov.aoii
+            aoii_sum += markov.aoii
         if trace is not None:
-            trace.write(_trace_line(metrics.frame_count, outcome) + "\n")
+            if not contention:
+                winners, timer = [j], 0.0
+            else:
+                winners = np.flatnonzero(key == key[j]).tolist()
+                if rule.discrete:
+                    timer = int(key[j])
+                elif rule.signal is None:
+                    timer = params.delta_scale * float(e[j]) / params.alpha
+                else:
+                    timer = float(params.delta_scale
+                                  * np.exp(np.log(e) - log_rate)[j])
+            trace.write(f"frame={frames} min_timer={timer:g} "
+                        f"winners={','.join(map(str, winners))} "
+                        f"collided={int(collided)} "
+                        f"delivered={'-' if collided else j} "
+                        f"duration={d:.6f}\n")
 
-    frames = metrics.frame_count
-    frame_mean = metrics.frame_age_sum / frames
-    if near_realistic:
-        per_source = metrics.clock_age_integral / metrics.elapsed_time
-    else:
-        per_source = frame_mean
-    w = config.weights_array
+    frame_mean = frame_age_sum / frames
+    per_source = (clock_age_integral / elapsed if rule.discrete
+                  else frame_mean)
     normalized = float((w * per_source).sum() / n)
-    aoii_mean = (float(metrics.aoii_sum.mean() / frames)
+    aoii_mean = (float(aoii_sum.mean() / frames)
                  if markov is not None else None)
 
     return SimulationResult(
-        policy=policy.kind,
+        policy=kind,
         normalized_weighted_avg_aoi=normalized,
         per_source_avg_aoi=tuple(float(x) for x in per_source),
         per_source_avg_frame_aoi=tuple(float(x) for x in frame_mean),
         normalized_avg_aoii=aoii_mean,
-        collision_rate=metrics.collision_count / frames,
-        avg_overhead_minislots=metrics.overhead_sum_minislots / frames,
+        collision_rate=(frames - deliveries) / frames,
+        avg_overhead_minislots=overhead_minislots / frames,
         frame_count=frames,
-        delivery_count=metrics.delivery_count,
-        elapsed_time=metrics.elapsed_time,
+        delivery_count=deliveries,
+        elapsed_time=elapsed,
         config=config,
         params=params,
         seed=config.seed,

@@ -23,11 +23,10 @@ from .core import (
     BackoffParams,
     NetworkConfig,
     ParameterError,
-    RngStream,
     recommended_defaults,
 )
 from .engine import run
-from .policies import Policy, PolicyKind
+from .policies import RULES, PolicyKind
 
 DESK_SCALE_N = (2, 5, 10, 20, 30)
 DEFAULT_HORIZON = 100_000
@@ -239,23 +238,13 @@ def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
 # Running and aggregating
 # ---------------------------------------------------------------------------
 
-def _kind_index(kind: PolicyKind) -> int:
-    return list(PolicyKind).index(kind)
-
-
 def run_replication(spec: ExperimentSpec, point: SweepPoint, kind: PolicyKind,
-                    rep: int):
-    """One simulation with the canonical substream layout.
-
-    Streams hang off (base_seed, replication): the engine owns path
-    (rep, 0) and each policy owns (rep, 1, kind), so results never shift
-    when other policies or replications are added.
-    """
-    engine_stream = RngStream(spec.base_seed, (rep, 0))
-    policy_stream = RngStream(spec.base_seed, (rep, 1, _kind_index(kind)))
-    policy = Policy(kind, point.config, point.params, stream=policy_stream)
-    return run(point.config, policy, point.params, engine_stream,
-               markov_q=spec.markov_q, horizon_unit=spec.horizon_unit)
+                    rep: int, trace=None):
+    """One simulation, its streams under prefix (rep,) of base_seed, so
+    results never shift when other policies or replications are added."""
+    return run(point.config, kind, point.params, prefix=(rep,),
+               markov_q=spec.markov_q, horizon_unit=spec.horizon_unit,
+               trace=trace)
 
 
 def _mean_stderr(values: list[float]) -> tuple[float, float | None]:
@@ -285,7 +274,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
                     aoiis.append(result.normalized_avg_aoii)
                 collisions.append(result.collision_rate)
                 overheads.append(result.avg_overhead_minislots)
-                if kind.discrete_timers:
+                if RULES[kind].discrete:
                     avg_ages = np.asarray(result.per_source_avg_aoi)
                     bounds.append(overhead_upper_bound(
                         avg_ages, point.config.weights_array, point.params,

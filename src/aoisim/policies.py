@@ -1,24 +1,22 @@
 """Scheduling rules: centralized baselines and distributed contention.
 
-A centralized rule emits one scheduled source per frame; a distributed
-rule emits one backoff timer per source and the channel resolves the
-minimum.  Both flavors are pure functions of (state, stream), so runs
-are reproducible and independent policies never share draws.
+A centralized rule schedules one source per frame.  Under distributed
+contention every source draws a backoff timer at rate alpha**e_i and the
+channel resolves the minimum (see engine.run).  RULES says, per
+PolicyKind, which rule runs, which signal the exponent e_i reads and
+whether timers are compared on the minislot grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
-    AgeState,
     BackoffParams,
-    NetworkConfig,
     ParameterError,
     RngStream,
     aoi_log_rates,
@@ -37,69 +35,34 @@ class PolicyKind(Enum):
     IDEALIZED_FRESH_CSMA_AOII = "idealized_fresh_csma_aoii"
     NEAR_REALISTIC_FRESH_CSMA_AOII = "near_realistic_fresh_csma_aoii"
 
-    @property
-    def centralized(self) -> bool:
-        return self in (PolicyKind.MAX_WEIGHT,
-                        PolicyKind.STATIONARY_RANDOMIZED,
-                        PolicyKind.MAX_AOII)
 
-    @property
-    def distributed(self) -> bool:
-        return not self.centralized
+class Rule(NamedTuple):
+    """How one PolicyKind schedules.
 
-    @property
-    def discrete_timers(self) -> bool:
-        """True when timers live on the minislot grid."""
-        return self in (PolicyKind.NEAR_REALISTIC_FRESH_CSMA,
-                        PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII)
-
-    @property
-    def freshness(self) -> str | None:
-        """Which freshness signal the rule consumes, if any."""
-        if self in (PolicyKind.MAX_WEIGHT,
-                    PolicyKind.IDEALIZED_FRESH_CSMA,
-                    PolicyKind.NEAR_REALISTIC_FRESH_CSMA):
-            return "frame_age"
-        if self in (PolicyKind.MAX_AOII,
-                    PolicyKind.IDEALIZED_FRESH_CSMA_AOII,
-                    PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII):
-            return "aoii"
-        return None
-
-
-@dataclass(frozen=True)
-class TimerVector:
-    """Backoff timers for one frame.
-
-    values are the timers themselves: continuous (already scaled by
-    delta) for the idealized model, integer minislots for the
-    near-realistic one.  Continuous values can round to 0.0 when rates
-    are astronomically large, so log_values carries ln(timer) as the
-    always-finite comparison key.
+    decide is "max_weight", "stationary_randomized" or "max_aoii" for a
+    centralized rule and "contention" for the distributed one.  signal
+    is the state the rule reads: "frame_age" (exponent w_i * age_i**2),
+    "aoii" (the mismatch age, unweighted) or None (state-independent;
+    contention then uses exponent 1 for every source).  discrete marks
+    contention compared on the minislot grid, i.e. the near-realistic
+    channel model.
     """
 
-    values: np.ndarray
+    decide: str
+    signal: str | None
     discrete: bool
-    log_values: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.discrete:
-            if self.values.dtype.kind not in "iu" or np.any(self.values < 0):
-                raise ParameterError("discrete timers must be non-negative integers")
-        else:
-            if self.log_values is None:
-                raise ParameterError("continuous timers need log_values")
-            if not np.all(np.isfinite(self.log_values)):
-                raise ParameterError("log_values must be finite")
-            if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
-                raise ParameterError("timers must be finite and >= 0")
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def comparison_key(self) -> np.ndarray:
-        """Array whose argmin identifies the first timer to expire."""
-        return self.values if self.discrete else self.log_values
+RULES = {
+    PolicyKind.MAX_WEIGHT: Rule("max_weight", "frame_age", False),
+    PolicyKind.STATIONARY_RANDOMIZED: Rule("stationary_randomized", None, False),
+    PolicyKind.IDEALIZED_CSMA: Rule("contention", None, False),
+    PolicyKind.IDEALIZED_FRESH_CSMA: Rule("contention", "frame_age", False),
+    PolicyKind.NEAR_REALISTIC_FRESH_CSMA: Rule("contention", "frame_age", True),
+    PolicyKind.MAX_AOII: Rule("max_aoii", "aoii", False),
+    PolicyKind.IDEALIZED_FRESH_CSMA_AOII: Rule("contention", "aoii", False),
+    PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII: Rule("contention", "aoii", True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -149,74 +112,30 @@ def sample_from_probs(probs: np.ndarray, stream: RngStream) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Distributed rules
+# Distributed contention
 # ---------------------------------------------------------------------------
 
-def _unit_exponentials(streams: "RngStream | Sequence[RngStream]",
-                       n: int) -> np.ndarray:
-    if isinstance(streams, RngStream):
-        return np.array([streams.unit_exponential() for _ in range(n)])
-    if len(streams) != n:
-        raise ParameterError(f"need {n} per-source streams, got {len(streams)}")
-    return np.array([s.unit_exponential() for s in streams])
+def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
+                    params: BackoffParams, discrete: bool) -> np.ndarray:
+    """Comparison keys of one contention; the smallest key wins.
 
-
-def idealized_csma_timers(streams: "RngStream | Sequence[RngStream]", n: int,
-                          alpha: float, delta_scale: float = 1.0) -> TimerVector:
-    """Classic state-independent contention: N i.i.d. exp(alpha) timers."""
-    if not alpha > 1.0:
-        raise ParameterError(f"alpha must be > 1, got {alpha}")
-    e = _unit_exponentials(streams, n)
-    log_z = np.log(e) - math.log(alpha)
-    log_d = math.log(delta_scale)
-    return TimerVector(values=delta_scale * e / alpha, discrete=False,
-                       log_values=log_d + log_z)
-
-
-def fresh_csma_timers(streams: "RngStream | Sequence[RngStream]",
-                      ages: AgeState,
-                      weights: np.ndarray,
-                      params: BackoffParams,
-                      mode: str = "idealized",
-                      freshness: str = "frame_age",
-                      aoii: np.ndarray | None = None) -> TimerVector:
-    """State-dependent contention timers.
-
-    Source i draws Z_i ~ exp(alpha**e_i) with exponent e_i equal to
-    w_i * age_i**2 (frame_age mode) or its mismatch age (aoii mode,
-    unweighted).  The draw happens in log domain; the idealized mode
-    returns the continuous delta-scaled timers, the near-realistic mode
-    maps them onto the minislot grid.
+    Source i's timer is Z_i = E_i / rate_i for a unit exponential E_i,
+    formed in log domain as ln Z_i = ln E_i - log_rate_i so that rates
+    beyond float range still compare correctly.  The idealized model
+    compares ln(delta * Z_i); the near-realistic model compares minislots
+    max(B + floor(log_beta Z_i), 0), which can tie.
     """
-    if mode not in ("idealized", "near_realistic"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    if freshness == "frame_age":
-        log_rate = aoi_log_rates(ages.frame_age, weights, params.alpha)
-    elif freshness == "aoii":
-        if aoii is None:
-            raise ParameterError("aoii freshness needs an aoii vector")
-        log_rate = aoii_log_rates(aoii, params.alpha)
-    else:
-        raise ParameterError(f"unknown freshness {freshness!r}")
-
-    n = len(log_rate)
-    e = _unit_exponentials(streams, n)
-    log_z = np.log(e) - log_rate
-
-    if mode == "near_realistic":
-        return TimerVector(values=discretize_log_timers(log_z, params),
-                           discrete=True)
-    log_d = math.log(params.delta_scale)
-    # exp() may underflow to 0.0 for huge rates; log_values stays exact.
-    return TimerVector(values=params.delta_scale * np.exp(log_z),
-                       discrete=False, log_values=log_d + log_z)
+    log_z = log_e - log_rate
+    if discrete:
+        return discretize_log_timers(log_z, params)
+    return math.log(params.delta_scale) + log_z
 
 
 def scheduling_probabilities(alpha: float, *,
                              frame_age: np.ndarray | None = None,
                              weights: np.ndarray | None = None,
                              aoii: np.ndarray | None = None) -> np.ndarray:
-    """Closed-form per-frame win distribution of the contention above.
+    """Closed-form per-frame win distribution of the contention.
 
     Source i wins with probability alpha**e_i / sum_j alpha**e_j.
     Evaluated as a max-shifted softmax over e_i * ln(alpha), which is
@@ -233,71 +152,3 @@ def scheduling_probabilities(alpha: float, *,
     shifted = log_rate - log_rate.max()
     num = np.exp(shifted)
     return num / num.sum()
-
-
-# ---------------------------------------------------------------------------
-# Policy objects
-# ---------------------------------------------------------------------------
-
-class Policy:
-    """One scheduling rule bound to a network and its own substreams.
-
-    Distributed kinds hold one timer substream per source (adding or
-    removing another policy in an experiment cannot shift their draws);
-    centralized kinds hold a single decision substream for sampling and
-    tie-breaking.
-    """
-
-    def __init__(self, kind: PolicyKind, config: NetworkConfig,
-                 params: BackoffParams | None = None,
-                 stream: RngStream | None = None):
-        needs_params = kind not in (PolicyKind.MAX_WEIGHT,
-                                    PolicyKind.STATIONARY_RANDOMIZED,
-                                    PolicyKind.MAX_AOII)
-        if needs_params and params is None:
-            raise ParameterError(f"{kind.value} needs backoff parameters")
-        self.kind = kind
-        self.config = config
-        self.params = params
-        if stream is None:
-            stream = RngStream(config.seed, (1, _KIND_INDEX[kind]))
-        self.stream = stream
-        if kind.centralized:
-            self._decision_stream = stream.child(0)
-            self._timer_streams = None
-        else:
-            self._decision_stream = None
-            self._timer_streams = [stream.child(1 + i)
-                                   for i in range(config.n_sources)]
-        self._sr_probs = (stationary_randomized_probs(config.weights)
-                          if kind is PolicyKind.STATIONARY_RANDOMIZED else None)
-        self._weights = config.weights_array
-
-    def decide(self, ages: AgeState, aoii: np.ndarray | None = None) -> int:
-        if not self.kind.centralized:
-            raise ParameterError(f"{self.kind.value} is distributed; call timers()")
-        if self.kind is PolicyKind.MAX_WEIGHT:
-            return max_weight_decide(ages.frame_age, self._weights,
-                                     self._decision_stream)
-        if self.kind is PolicyKind.STATIONARY_RANDOMIZED:
-            return sample_from_probs(self._sr_probs, self._decision_stream)
-        if aoii is None:
-            raise ParameterError("max_aoii policy needs an aoii vector")
-        return max_aoii_decide(aoii, self._decision_stream)
-
-    def timers(self, ages: AgeState, aoii: np.ndarray | None = None) -> TimerVector:
-        if self.kind.centralized:
-            raise ParameterError(f"{self.kind.value} is centralized; call decide()")
-        if self.kind is PolicyKind.IDEALIZED_CSMA:
-            return idealized_csma_timers(self._timer_streams,
-                                         self.config.n_sources,
-                                         self.params.alpha,
-                                         self.params.delta_scale)
-        mode = "near_realistic" if self.kind.discrete_timers else "idealized"
-        return fresh_csma_timers(self._timer_streams, ages, self._weights,
-                                 self.params, mode=mode,
-                                 freshness=self.kind.freshness or "frame_age",
-                                 aoii=aoii)
-
-
-_KIND_INDEX = {k: i for i, k in enumerate(PolicyKind)}

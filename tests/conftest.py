@@ -10,7 +10,6 @@ from aoisim import (
     recommended_defaults,
     run,
 )
-from aoisim.engine import make_policy
 
 HORIZON = 100_000
 SEED = 11
@@ -28,8 +27,7 @@ def sym10_params(sym10_config):
 
 
 def _run(config, kind, params=None, **kwargs):
-    policy = make_policy(kind, config, params)
-    return run(config, policy, params, horizon_unit="deliveries", **kwargs)
+    return run(config, kind, params, horizon_unit="deliveries", **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,6 @@ from aoisim.checks import (
     check_winner_distribution,
 )
 from aoisim.cli import main
-from aoisim.engine import make_policy
 
 SEED = 11
 
@@ -42,8 +41,8 @@ def _collision_run(beta: float, b_offset: int, frames: int = 20_000):
     config = NetworkConfig(n_sources=10, weights=tuple([1.0] * 10),
                            horizon_frames=frames, seed=SEED)
     params = BackoffParams(alpha=1.1, beta=beta, b_offset=b_offset)
-    policy = make_policy(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, config, params)
-    return run(config, policy, params, horizon_unit="frames")
+    return run(config, PolicyKind.NEAR_REALISTIC_FRESH_CSMA, params,
+               horizon_unit="frames")
 
 
 def test_c01_centralized_baselines(run_max_weight, run_stationary):
@@ -72,7 +71,7 @@ def test_c02_distributed_tracks_centralized(run_max_weight, run_stationary,
 
 
 def test_c03_winner_distribution_matches_closed_form():
-    result = check_winner_distribution(states=20, samples=100_000, seed=SEED)
+    result = check_winner_distribution(trials=20, samples=100_000, seed=SEED)
     assert result.ok, result.summary()
     _report("C3", result.summary())
 
@@ -101,7 +100,7 @@ def test_c06_distinct_timer_bound_grid():
 
 def test_c07_idle_time_bound(run_fresh_near_realistic, sym10_config,
                              sym10_params):
-    per_state = check_idle_time_bound(states=10, samples=100_000, seed=SEED)
+    per_state = check_idle_time_bound(trials=10, samples=100_000, seed=SEED)
     assert per_state.ok, per_state.summary()
     nr = run_fresh_near_realistic
     horizon_bound = overhead_upper_bound(np.asarray(nr.per_source_avg_aoi),

@@ -16,7 +16,11 @@ from aoisim import (
     timer_separation_term,
     upper_incomplete_gamma_zero,
 )
-from aoisim.analysis import EULER_GAMMA, overhead_upper_bound_from_log_rate
+from aoisim.analysis import (
+    EULER_GAMMA,
+    LN_MIN_NORMAL,
+    overhead_upper_bound_from_log_rate,
+)
 from aoisim.core import aoi_log_rates, discretize_log_timers, log_sum_exp
 
 
@@ -191,6 +195,52 @@ def test_overhead_bound_is_well_scaled_for_huge_rates():
     bound = overhead_upper_bound(ages, weights, params)
     assert math.isfinite(bound)
     assert bound == pytest.approx(1.0 / params.minislots_per_update)
+
+
+def _exp1_bound(arg_log, params):
+    """1 + E1(x) / ln(beta) with ln x = arg_log, from scipy's E1."""
+    from scipy.special import exp1
+
+    return 1.0 + float(exp1(math.exp(arg_log))) / params.ln_beta
+
+
+def test_overhead_bound_matches_exp1_down_to_min_normal():
+    params = BackoffParams(alpha=1.1, beta=2.0, b_offset=100)
+    shift = params.b_offset * params.ln_beta
+    for arg_log in np.linspace(LN_MIN_NORMAL, 5.0, 60):
+        slots = overhead_upper_bound_from_log_rate(arg_log + shift, params,
+                                                   minislots=True)
+        assert slots == pytest.approx(_exp1_bound(arg_log, params), rel=1e-10)
+
+
+def test_overhead_bound_below_min_normal_uses_asymptote():
+    # exp(arg_log) is subnormal or 0 here; Gamma(0, x) = -ln x - gamma
+    # up to x, which is far below float resolution
+    params = BackoffParams(alpha=1.1, beta=2.0, b_offset=2000)
+    shift = params.b_offset * params.ln_beta
+    for arg_log in (LN_MIN_NORMAL - 1e-9, -720.0, -745.5, -1000.0, -1e5):
+        slots = overhead_upper_bound_from_log_rate(arg_log + shift, params,
+                                                   minislots=True)
+        assert slots == pytest.approx(
+            1.0 + (-arg_log - EULER_GAMMA) / params.ln_beta, rel=1e-15)
+    # the two sides of the threshold meet
+    below = overhead_upper_bound_from_log_rate(LN_MIN_NORMAL - 1e-12 + shift,
+                                               params, minislots=True)
+    assert below == pytest.approx(_exp1_bound(LN_MIN_NORMAL, params),
+                                  rel=1e-12)
+
+
+def test_overhead_bound_survives_underflowing_cells():
+    # ages 1..10 at alpha = 1.1: exp() of the Gamma argument underflows
+    ages = np.arange(1, 11)
+    for beta, b_offset in ((2.0, 2000), (1.196, 5000)):
+        params = BackoffParams(alpha=1.1, beta=beta, b_offset=b_offset)
+        log_total = log_sum_exp(aoi_log_rates(ages, np.ones(10), 1.1))
+        arg_log = log_total - b_offset * params.ln_beta
+        assert arg_log < LN_MIN_NORMAL
+        slots = overhead_upper_bound(ages, np.ones(10), params, minislots=True)
+        assert slots == pytest.approx(
+            1.0 + (-arg_log - EULER_GAMMA) / params.ln_beta, rel=1e-15)
 
 
 def test_overhead_bound_time_vs_minislot_units():

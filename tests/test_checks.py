@@ -35,7 +35,7 @@ def test_max_aoii_match_small():
 
 
 def test_winner_distribution_small():
-    assert check_winner_distribution(states=6, samples=20_000).ok
+    assert check_winner_distribution(trials=6, samples=20_000).ok
 
 
 def test_drift_dominance_small():
@@ -47,7 +47,7 @@ def test_distinct_timer_bound_small():
 
 
 def test_idle_time_bound_small():
-    result = check_idle_time_bound(states=4, samples=20_000)
+    result = check_idle_time_bound(trials=4, samples=20_000)
     assert result.ok
     assert "PASS" in result.summary()
 

@@ -118,6 +118,16 @@ def test_verify_command_samples_flag():
     assert main(["verify", "thm3", "--samples", "5000"]) == 0
 
 
+def test_verify_command_trials_flag():
+    assert main(["verify", "lemma1", "--trials", "2", "--samples", "20000"]) == 0
+
+
+def test_verify_command_rejects_flag_the_check_lacks(capsys):
+    # thm3 sweeps a fixed grid: it takes --samples but not --trials
+    assert main(["verify", "thm3", "--trials", "2"]) == 2
+    assert "does not take --trials" in capsys.readouterr().err
+
+
 def test_verify_command_failure_exits_1(monkeypatch, capsys):
     import aoisim.cli as cli_mod
 

@@ -4,31 +4,37 @@ import numpy as np
 import pytest
 
 from aoisim import (
-    AgeState,
     BackoffParams,
-    FrameOutcome,
     NetworkConfig,
     ParameterError,
     RngStream,
-    discretize_timer,
     drift_alpha_threshold,
     match_alpha_threshold,
     recommended_defaults,
-    sample_exponential,
-    sample_exponential_log,
     validate_params,
 )
-from aoisim.core import discretize_log_timers, linear_rates, log_sum_exp
+from aoisim.core import AgeState, discretize_log_timers, log_sum_exp
+from aoisim.engine import frame_step
+from aoisim.policies import contention_keys
+
+UNIT_DELTA = BackoffParams(alpha=2.0, delta_scale=1.0)
 
 
-class FixedStream:
-    """Stands in for RngStream where a test needs a pinned unit draw."""
+class ScriptedGenerator:
+    """Stands in for a stream's generator where a test pins the uniforms."""
 
-    def __init__(self, value):
-        self.value = value
+    def __init__(self, values):
+        self.values = list(values)
 
-    def unit_exponential(self):
-        return self.value
+    def random(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out)
+
+
+def _scripted(values):
+    stream = RngStream(0)
+    stream._gen = ScriptedGenerator(values)
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +44,10 @@ class FixedStream:
 def test_stream_reproducible_across_instances():
     a = RngStream(123456789, (4, 2))
     b = RngStream(123456789, (4, 2))
-    seq_a = [a.uniform() for _ in range(10)] + list(a.uniforms(5)) + [a.unit_exponential()]
-    seq_b = [b.uniform() for _ in range(10)] + list(b.uniforms(5)) + [b.unit_exponential()]
+    seq_a = ([a.uniform() for _ in range(10)] + list(a.uniforms(5))
+             + list(a.exponential_sequence(3)))
+    seq_b = ([b.uniform() for _ in range(10)] + list(b.uniforms(5))
+             + list(b.exponential_sequence(3)))
     assert seq_a == seq_b
 
 
@@ -66,23 +74,44 @@ def test_stream_rejects_bad_seed_and_path():
 
 
 def test_unit_exponential_positive():
-    s = RngStream(1)
-    draws = [s.unit_exponential() for _ in range(1000)]
-    assert all(d > 0 for d in draws)
+    assert np.all(RngStream(1).exponential_sequence(1000) > 0)
+    assert np.all(RngStream(1).unit_exponentials(1000) > 0)
+
+
+def test_exponential_sequence_is_the_scalar_inverse_cdf():
+    # each term is -log1p(-u) through math.log1p, whatever the split
+    u = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((31, 5)))).random(50)
+    expected = [-math.log1p(-x) for x in u]
+    stream = RngStream(31, (5,))
+    got = np.concatenate([stream.exponential_sequence(k) for k in (1, 7, 42)])
+    assert got.tolist() == expected
+
+
+def test_exponential_sequence_skips_zero_uniforms():
+    values = [0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.125, 0.0, 0.375, 0.0, 0.625]
+    expected = [-math.log1p(-x) for x in values if x != 0.0]
+    stream = _scripted(values)
+    got = list(stream.exponential_sequence(3)) + list(stream.exponential_sequence(2))
+    assert got == expected[:5]
+    # the generator stops right after the last term it used
+    assert stream._gen.values == [0.0, 0.625]
 
 
 # ---------------------------------------------------------------------------
-# Exponential sampling
+# Exponential timers in log domain
 # ---------------------------------------------------------------------------
 
 def test_sample_exponential_rate_one_identity():
-    assert sample_exponential(FixedStream(0.693), 0.0) == pytest.approx(0.693)
+    key = contention_keys(np.log([0.693]), 0.0, UNIT_DELTA, discrete=False)
+    assert math.exp(key[0]) == pytest.approx(0.693)
 
 
 def test_sample_exponential_rate_two():
     # E / rate by hand: 0.693 / 2
-    z = sample_exponential(FixedStream(0.693), math.log(2.0))
-    assert z == pytest.approx(0.3465, abs=1e-10)
+    key = contention_keys(np.log([0.693]), math.log(2.0), UNIT_DELTA,
+                          discrete=False)
+    assert math.exp(key[0]) == pytest.approx(0.3465, abs=1e-10)
 
 
 def test_sample_exponential_monte_carlo_mean():
@@ -90,68 +119,63 @@ def test_sample_exponential_monte_carlo_mean():
     s = RngStream(2024)
     mean = float(s.unit_exponentials(1_000_000).mean())
     assert 0.997 <= mean <= 1.003
+    assert 0.997 <= float(s.exponential_sequence(1_000_000).mean()) <= 1.003
 
 
 def test_sample_exponential_log_matches_linear():
-    for i in range(50):
-        lin = sample_exponential(RngStream(50, (i,)), 1.5)
-        log = sample_exponential_log(RngStream(50, (i,)), 1.5)
-        assert math.log(lin) == pytest.approx(log, abs=1e-12)
+    e = RngStream(50).exponential_sequence(50)
+    keys = contention_keys(np.log(e), 1.5, UNIT_DELTA, discrete=False)
+    np.testing.assert_allclose(keys, np.log(e * math.exp(-1.5)), atol=1e-12)
 
 
 def test_sample_exponential_rejects_non_finite_rate():
-    s = RngStream(0)
+    # rates are alpha**e: a non-finite alpha never reaches the timers
     with pytest.raises(ParameterError):
-        sample_exponential(s, math.inf)
+        BackoffParams(alpha=math.inf)
     with pytest.raises(ParameterError):
-        sample_exponential_log(s, math.nan)
+        BackoffParams(alpha=math.nan)
+    with pytest.raises(ParameterError):
+        BackoffParams(alpha=2.0, beta=math.inf)
 
 
 # ---------------------------------------------------------------------------
 # Timer discretization
 # ---------------------------------------------------------------------------
 
+def _slot(params, z):
+    return int(discretize_log_timers(np.array([math.log(z)]), params)[0])
+
+
 def test_discretize_timer_anchor_values():
-    assert discretize_timer(BackoffParams(2.0, beta=2.0, b_offset=5), z=1.0) == 5
+    assert _slot(BackoffParams(2.0, beta=2.0, b_offset=5), 1.0) == 5
     # 2 + floor(log2 8) by hand
-    assert discretize_timer(BackoffParams(2.0, beta=2.0, b_offset=2), z=8.0) == 5
+    assert _slot(BackoffParams(2.0, beta=2.0, b_offset=2), 8.0) == 5
     # floor(log2 0.001) = -10, max(3 - 10, 0)
-    assert discretize_timer(BackoffParams(2.0, beta=2.0, b_offset=3), z=0.001) == 0
+    assert _slot(BackoffParams(2.0, beta=2.0, b_offset=3), 0.001) == 0
 
 
 def test_discretize_timer_log_form_agrees():
+    # minislot D > 0 holds the timers with beta**(D - B) <= z < beta**(D - B + 1)
     params = BackoffParams(2.0, beta=1.3, b_offset=40)
-    s = RngStream(9)
-    for _ in range(200):
-        z = s.unit_exponential()
-        assert (discretize_timer(params, z=z)
-                == discretize_timer(params, log_z=math.log(z)))
-
-
-def test_discretize_timer_argument_validation():
-    params = BackoffParams(2.0)
-    with pytest.raises(ParameterError):
-        discretize_timer(params)
-    with pytest.raises(ParameterError):
-        discretize_timer(params, z=1.0, log_z=0.0)
-    with pytest.raises(ParameterError):
-        discretize_timer(params, z=-1.0)
+    z = RngStream(9).exponential_sequence(200)
+    slots = discretize_log_timers(np.log(z), params)
+    for zi, d in zip(z, slots):
+        if d > 0:
+            assert 1.3 ** (d - 40) <= zi * (1 + 1e-12)
+        assert zi < 1.3 ** (d - 40 + 1) * (1 + 1e-12)
 
 
 def test_discretize_monotone_in_z_and_b():
-    s = RngStream(31)
-    zs = sorted(s.unit_exponential() * 10 for _ in range(100))
+    zs = np.sort(RngStream(31).exponential_sequence(100) * 10)
     for beta in (1.05, 1.5, 2.0):
         for b in (0, 10, 100):
             params = BackoffParams(2.0, beta=beta, b_offset=b)
-            timers = [discretize_timer(params, z=z) for z in zs]
-            assert timers == sorted(timers)
-    for z in zs:
-        prev = -1
-        for b in (0, 5, 50, 500):
-            cur = discretize_timer(BackoffParams(2.0, beta=1.2, b_offset=b), z=z)
-            assert cur >= prev
-            prev = cur
+            timers = discretize_log_timers(np.log(zs), params)
+            assert np.all(np.diff(timers) >= 0)
+    grid = np.array([discretize_log_timers(
+        np.log(zs), BackoffParams(2.0, beta=1.2, b_offset=b))
+        for b in (0, 5, 50, 500)])
+    assert np.all(np.diff(grid, axis=0) >= 0)
 
 
 def test_discretize_beta_monotonicity_splits_at_z_one():
@@ -160,7 +184,7 @@ def test_discretize_beta_monotonicity_splits_at_z_one():
     for z, sign in ((8.0, -1), (150.0, -1), (0.9, +1), (0.5, +1), (0.01, +1)):
         prev = None
         for beta in (1.05, 1.2, 1.5, 2.0, 5.0):
-            cur = discretize_timer(BackoffParams(2.0, beta=beta, b_offset=30), z=z)
+            cur = _slot(BackoffParams(2.0, beta=beta, b_offset=30), z)
             if prev is not None:
                 assert sign * (cur - prev) >= 0
             prev = cur
@@ -172,7 +196,7 @@ def test_discretize_log_timers_matches_scalar():
     vec = discretize_log_timers(log_z, params)
     assert vec.dtype == np.int64
     for lz, d in zip(log_z, vec):
-        assert discretize_timer(params, log_z=float(lz)) == d
+        assert max(25 + math.floor(lz / math.log(1.4)), 0) == d
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +211,6 @@ def test_argmin_agrees_between_log_and_linear_domain():
         linear = e / np.exp(log_rates)
         logs = np.log(e) - log_rates
         assert int(np.argmin(linear)) == int(np.argmin(logs))
-
-
-def test_linear_rates_guard():
-    assert linear_rates(np.array([0.0, 1.0]))[1] == pytest.approx(math.e)
-    with pytest.raises(ParameterError):
-        linear_rates(np.array([10.0, 800.0]))
 
 
 def test_log_sum_exp_stable_and_correct():
@@ -246,12 +264,17 @@ def test_age_state_initial():
 
 
 def test_frame_outcome_consistency():
-    FrameOutcome(frozenset({1}), 0.0, False, 1, 1.0)
-    FrameOutcome(frozenset({1, 2}), 3.0, True, None, 1.0)
-    with pytest.raises(ParameterError):
-        FrameOutcome(frozenset({1, 2}), 3.0, False, None, 1.0)
-    with pytest.raises(ParameterError):
-        FrameOutcome(frozenset({1}), 0.0, False, None, 1.0)
+    # a frame collides exactly when two or more keys share the minimum,
+    # and otherwise delivers the unique minimum
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        key = rng.integers(0, 3, 4)
+        ages = AgeState.initial(4)
+        j, collided, _ = frame_step(ages, None, key, 10_000)
+        winners = np.flatnonzero(key == key.min())
+        assert j == winners[0]
+        assert collided == (len(winners) >= 2)
+        assert (ages.frame_age == 1).sum() == (0 if collided else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,49 +1,21 @@
 import io
-import math
 
 import numpy as np
 import pytest
 
 from aoisim import (
-    AgeState,
     BackoffParams,
-    MarkovNetState,
     NetworkConfig,
     ParameterError,
-    Policy,
     PolicyKind,
     RngStream,
-    TimerVector,
     run,
-    step_idealized,
-    step_markov,
-    step_near_realistic,
 )
-from aoisim.engine import make_policy
+from aoisim.core import AgeState
+from aoisim.engine import MarkovNetState, advance, frame_step
+from aoisim.policies import max_weight_decide
 
-PARAMS = BackoffParams(alpha=1.5, beta=1.2, b_offset=50, minislots_per_update=10_000)
-
-
-class StubTimers:
-    """Policy stand-in that emits a scripted timer vector each frame."""
-
-    def __init__(self, kind, vectors):
-        self.kind = kind
-        self.params = PARAMS
-        self._vectors = iter(vectors)
-
-    def timers(self, ages, aoii=None):
-        return next(self._vectors)
-
-
-class StubCentral:
-    def __init__(self, picks):
-        self.kind = PolicyKind.MAX_WEIGHT
-        self.params = None
-        self._picks = iter(picks)
-
-    def decide(self, ages, aoii=None):
-        return next(self._picks)
+M = 10_000
 
 
 def _ages(frame_age):
@@ -51,8 +23,15 @@ def _ages(frame_age):
     return AgeState(frame_age=frame_age, clock_age=frame_age.astype(float))
 
 
-def _discrete(values):
-    return TimerVector(values=np.asarray(values, dtype=np.int64), discrete=True)
+def _wins(n, j):
+    """Idealized ln-timer keys in which source j holds the unique minimum."""
+    key = np.zeros(n)
+    key[j] = -1.0
+    return key
+
+
+def _slots(values):
+    return np.asarray(values, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -61,65 +40,68 @@ def _discrete(values):
 
 def test_step_idealized_age_recursion():
     ages = _ages([4, 7])
-    outcome = step_idealized(ages, StubCentral([1]))
+    j, collided, duration = frame_step(ages, None, _wins(2, 1))
     assert ages.frame_age.tolist() == [5, 1]
-    assert outcome.delivered == 1 and not outcome.collided
-    assert outcome.frame_duration == 1.0
+    assert j == 1 and not collided
+    assert duration is None  # a unit frame; clock ages are not tracked
+    assert ages.clock_age.tolist() == [4.0, 7.0]
 
 
 def test_step_idealized_max_weight_unique_argmax():
-    config = NetworkConfig(3, (1.0, 1.0, 1.0), 100, 5)
-    policy = make_policy(PolicyKind.MAX_WEIGHT, config)
     ages = _ages([1, 2, 3])
-    outcome = step_idealized(ages, policy)
-    assert outcome.delivered == 2
+    j = max_weight_decide(ages.frame_age, np.ones(3), RngStream(5))
+    assert j == 2
+    advance(ages, None, j)
     assert ages.frame_age.tolist() == [2, 3, 1]
 
 
 def test_step_idealized_rejects_minislot_policy():
+    # the near-realistic kind cannot run without its minislot grid
     config = NetworkConfig(2, (1.0, 1.0), 100, 5)
-    policy = make_policy(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, config, PARAMS)
     with pytest.raises(ParameterError):
-        step_idealized(_ages([1, 1]), policy)
+        run(config, PolicyKind.NEAR_REALISTIC_FRESH_CSMA)
+
+
+def test_step_idealized_float_tie_collides():
+    ages = _ages([2, 2])
+    j, collided, duration = frame_step(ages, None, np.array([-3.5, -3.5]))
+    assert (j, collided, duration) == (0, True, None)
+    assert ages.frame_age.tolist() == [3, 3]
 
 
 def test_step_near_realistic_collision_and_duration():
     ages = _ages([2, 2, 2])
-    stub = StubTimers(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, [_discrete([3, 7, 3])])
-    outcome = step_near_realistic(ages, stub, PARAMS)
-    assert outcome.winners == frozenset({0, 2})
-    assert outcome.collided and outcome.delivered is None
-    assert outcome.frame_duration == pytest.approx(1 + 3 / 10_000)
+    j, collided, duration = frame_step(ages, None, _slots([3, 7, 3]), M)
+    assert j == 0 and collided
+    assert duration == pytest.approx(1 + 3 / 10_000)
     # collision: every age grows, nothing resets
     assert ages.frame_age.tolist() == [3, 3, 3]
+    assert ages.clock_age.tolist() == pytest.approx([2 + duration] * 3)
 
 
 def test_step_near_realistic_zero_timer_delivers_immediately():
     ages = _ages([1, 1])
-    stub = StubTimers(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, [_discrete([0, 5])])
-    outcome = step_near_realistic(ages, stub, PARAMS)
-    assert outcome.delivered == 0
-    assert outcome.frame_duration == 1.0
+    j, collided, duration = frame_step(ages, None, _slots([0, 5]), M)
+    assert j == 0 and not collided
+    assert duration == 1.0
     assert ages.clock_age[0] == pytest.approx(1.0)
 
 
 def test_step_near_realistic_overhead_and_clock_ages():
     ages = _ages([4, 9])
-    stub = StubTimers(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, [_discrete([250, 260])])
-    outcome = step_near_realistic(ages, stub, PARAMS)
-    assert outcome.frame_duration == pytest.approx(1.025)
-    assert outcome.min_timer == 250
-    assert outcome.delivered == 0
+    j, collided, duration = frame_step(ages, None, _slots([250, 260]), M)
+    assert duration == pytest.approx(1.025)
+    assert j == 0 and not collided
     # winner's information is one frame-duration old; loser aged by it
     assert ages.clock_age.tolist() == pytest.approx([1.025, 9 + 1.025])
     assert ages.frame_age.tolist() == [1, 10]
 
 
 def test_step_near_realistic_rejects_continuous_policy():
+    # contention of any kind needs its backoff parameters
     config = NetworkConfig(2, (1.0, 1.0), 100, 5)
-    policy = make_policy(PolicyKind.IDEALIZED_FRESH_CSMA, config, PARAMS)
     with pytest.raises(ParameterError):
-        step_near_realistic(_ages([1, 1]), policy, PARAMS)
+        run(config, PolicyKind.IDEALIZED_FRESH_CSMA)
 
 
 # ---------------------------------------------------------------------------
@@ -130,42 +112,60 @@ def _markov(x_true, x_est, aoii):
     return MarkovNetState(q=np.zeros(len(x_true)),
                           x_true=np.array(x_true, dtype=np.int8),
                           x_est=np.array(x_est, dtype=np.int8),
-                          aoii=np.array(aoii, dtype=np.int64))
+                          aoii=np.array(aoii, dtype=np.int64),
+                          stream=RngStream(3))
 
 
 def test_step_markov_matched_stays_zero():
     markov = _markov([0, 0], [0, 0], [0, 0])
-    step_markov(markov, _ages([1, 1]), StubCentral([0]), None, RngStream(3))
+    frame_step(_ages([1, 1]), markov, _wins(2, 0))
     assert markov.aoii.tolist() == [0, 0]
 
 
 def test_step_markov_delivery_zeroes_mismatch():
     markov = _markov([1, 0], [0, 0], [2, 0])
-    step_markov(markov, _ages([3, 3]), StubCentral([0]), None, RngStream(3))
+    frame_step(_ages([3, 3]), markov, _wins(2, 0))
     assert markov.aoii.tolist() == [0, 0]
     assert markov.x_est.tolist() == [1, 0]
 
 
 def test_step_markov_sustained_mismatch_increments():
     markov = _markov([1, 0], [0, 0], [2, 0])
-    step_markov(markov, _ages([3, 3]), StubCentral([1]), None, RngStream(3))
+    frame_step(_ages([3, 3]), markov, _wins(2, 1))
     assert markov.aoii.tolist() == [3, 0]
     assert markov.x_est.tolist() == [0, 0]
+
+
+def test_step_markov_collision_refreshes_nothing():
+    markov = _markov([1, 1], [0, 0], [2, 4])
+    frame_step(_ages([3, 3]), markov, _slots([6, 6]), M)
+    assert markov.x_est.tolist() == [0, 0]
+    assert markov.aoii.tolist() == [3, 5]
 
 
 def test_step_markov_spontaneous_match_resets():
     # q = 1 flips the mismatched source back onto the estimate
     markov = _markov([1, 0], [0, 0], [5, 0])
     markov.q = np.array([1.0, 0.0])
-    step_markov(markov, _ages([2, 2]), StubCentral([1]), None, RngStream(3))
+    frame_step(_ages([2, 2]), markov, _wins(2, 1))
     assert markov.x_true.tolist() == [0, 0]
     assert markov.aoii.tolist() == [0, 0]
+
+
+def test_step_markov_winner_delivers_post_flip_state():
+    # the flip happens before the winner's update is generated
+    markov = _markov([0, 0], [0, 0], [0, 0])
+    markov.q = np.array([1.0, 1.0])
+    frame_step(_ages([2, 2]), markov, _wins(2, 0))
+    assert markov.x_true.tolist() == [1, 1]
+    assert markov.x_est.tolist() == [1, 0]
+    assert markov.aoii.tolist() == [0, 1]
 
 
 def test_step_markov_frame_age_tracked_alongside():
     markov = _markov([0, 0], [0, 0], [0, 0])
     ages = _ages([4, 7])
-    step_markov(markov, ages, StubCentral([1]), None, RngStream(3))
+    frame_step(ages, markov, _wins(2, 1))
     assert ages.frame_age.tolist() == [5, 1]
 
 
@@ -174,15 +174,18 @@ def test_step_markov_frame_age_tracked_alongside():
 # ---------------------------------------------------------------------------
 
 def test_idealized_age_conservation_per_frame():
-    config = NetworkConfig(5, tuple([1.0] * 5), 100, 23)
-    policy = make_policy(PolicyKind.MAX_WEIGHT, config)
+    # random minislot keys: deliveries and collisions both occur
+    rng = np.random.default_rng(23)
     ages = AgeState.initial(5)
+    outcomes = set()
     for _ in range(200):
         before = ages.frame_age.copy()
-        outcome = step_idealized(ages, policy)
+        j, collided, _ = frame_step(ages, None, rng.integers(0, 4, 5), M)
         delta = int(ages.frame_age.sum() - before.sum())
-        assert delta == 5 - before[outcome.delivered]
+        assert delta == (5 if collided else 5 - before[j])
         assert ages.frame_age.min() >= 1
+        outcomes.add(collided)
+    assert outcomes == {True, False}
 
 
 def test_run_duration_accounting(run_fresh_near_realistic, run_max_weight):
@@ -198,7 +201,7 @@ def test_run_duration_accounting(run_fresh_near_realistic, run_max_weight):
 
 def test_run_single_source_age_is_one():
     config = NetworkConfig(1, (1.0,), 5000, 3)
-    result = run(config, make_policy(PolicyKind.MAX_WEIGHT, config))
+    result = run(config, PolicyKind.MAX_WEIGHT)
     assert result.normalized_weighted_avg_aoi == pytest.approx(1.0)
 
 
@@ -219,17 +222,14 @@ def test_run_deterministic_for_equal_seeds():
     params = BackoffParams(alpha=1.25, beta=1.15, b_offset=254)
 
     def once():
-        return run(config,
-                   make_policy(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, config,
-                               params), params)
+        return run(config, PolicyKind.NEAR_REALISTIC_FRESH_CSMA, params)
 
     assert once() == once()
 
 
 def test_run_deliveries_horizon_counts_deliveries():
     config = NetworkConfig(3, tuple([1.0] * 3), 500, 2)
-    result = run(config, make_policy(PolicyKind.MAX_WEIGHT, config),
-                 horizon_unit="deliveries")
+    result = run(config, PolicyKind.MAX_WEIGHT, horizon_unit="deliveries")
     assert result.delivery_count == 500
     assert result.frame_count == 500  # idealized centralized: no waste
 
@@ -238,39 +238,35 @@ def test_run_deliveries_cap_raises_when_nothing_delivers():
     # beta = 1.01 drives every timer into minislot 0: permanent collision
     config = NetworkConfig(10, tuple([1.0] * 10), 200, 7)
     params = BackoffParams(alpha=1.1, beta=1.01, b_offset=260)
-    policy = make_policy(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, config, params)
     with pytest.raises(RuntimeError):
-        run(config, policy, params, horizon_unit="deliveries", max_frames=400)
+        run(config, PolicyKind.NEAR_REALISTIC_FRESH_CSMA, params,
+            horizon_unit="deliveries", max_frames=400)
 
 
 def test_run_rejects_aoii_policy_without_markov():
     config = NetworkConfig(3, tuple([1.0] * 3), 100, 2)
     params = BackoffParams(alpha=2.1)
-    policy = make_policy(PolicyKind.IDEALIZED_FRESH_CSMA_AOII, config, params)
     with pytest.raises(ParameterError):
-        run(config, policy, params)
+        run(config, PolicyKind.IDEALIZED_FRESH_CSMA_AOII, params)
 
 
 def test_run_bad_horizon_unit():
     config = NetworkConfig(1, (1.0,), 10, 2)
     with pytest.raises(ParameterError):
-        run(config, make_policy(PolicyKind.MAX_WEIGHT, config),
-            horizon_unit="hours")
+        run(config, PolicyKind.MAX_WEIGHT, horizon_unit="hours")
 
 
 def test_run_markov_aoii_zero_when_sources_never_move():
     config = NetworkConfig(3, tuple([1.0] * 3), 2000, 21)
-    result = run(config, make_policy(PolicyKind.MAX_WEIGHT, config),
-                 markov_q=0.0)
+    result = run(config, PolicyKind.MAX_WEIGHT, markov_q=0.0)
     assert result.normalized_avg_aoii == 0.0
 
 
 def test_run_trace_emits_one_line_per_frame():
     config = NetworkConfig(2, (1.0, 1.0), 20, 13)
     params = BackoffParams(alpha=1.5, beta=1.2, b_offset=40)
-    policy = make_policy(PolicyKind.NEAR_REALISTIC_FRESH_CSMA, config, params)
     buf = io.StringIO()
-    result = run(config, policy, params, trace=buf)
+    result = run(config, PolicyKind.NEAR_REALISTIC_FRESH_CSMA, params, trace=buf)
     lines = buf.getvalue().strip().splitlines()
     assert len(lines) == result.frame_count == 20
     assert lines[0].startswith("frame=1 min_timer=")

@@ -4,26 +4,23 @@ import numpy as np
 import pytest
 
 from aoisim import (
-    AgeState,
     BackoffParams,
     NetworkConfig,
     ParameterError,
     PolicyKind,
-    Policy,
     RngStream,
-    fresh_csma_timers,
-    idealized_csma_timers,
-    max_aoii_decide,
-    max_weight_decide,
+    run,
     scheduling_probabilities,
     stationary_randomized_probs,
 )
-
-
-def _ages(frame_age):
-    frame_age = np.asarray(frame_age, dtype=np.int64)
-    return AgeState(frame_age=frame_age,
-                    clock_age=frame_age.astype(float))
+from aoisim.core import aoi_log_rates, aoii_log_rates
+from aoisim.engine import substreams
+from aoisim.policies import (
+    RULES,
+    contention_keys,
+    max_aoii_decide,
+    max_weight_decide,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -121,53 +118,52 @@ def test_scheduling_probabilities_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# Distributed timers
+# Distributed contention
 # ---------------------------------------------------------------------------
 
+def _log_e(n, frames, seed):
+    """ln E for `frames` contentions of n sources: one row per frame."""
+    return np.log(np.column_stack([RngStream(seed, (i,)).exponential_sequence(frames)
+                                   for i in range(n)]))
+
+
 def test_idealized_csma_single_source_always_wins():
-    tv = idealized_csma_timers(RngStream(3), 1, alpha=2.0)
-    assert len(tv) == 1 and not tv.discrete
+    config = NetworkConfig(1, (1.0,), 300, 3)
+    result = run(config, PolicyKind.IDEALIZED_CSMA, BackoffParams(alpha=2.0))
+    assert result.delivery_count == result.frame_count == 300
 
 
 def test_idealized_csma_symmetric_winners_and_mean():
     n, frames = 4, 100_000
-    streams = [RngStream(41, (i,)) for i in range(n)]
-    wins = np.zeros(n)
-    total = np.zeros(n)
-    for _ in range(frames):
-        tv = idealized_csma_timers(streams, n, alpha=2.0, delta_scale=1.0)
-        wins[int(np.argmin(tv.log_values))] += 1
-        total += tv.values
-    freq = wins / frames
+    params = BackoffParams(alpha=2.0, delta_scale=1.0)
+    keys = contention_keys(_log_e(n, frames, 41), math.log(2.0), params,
+                           discrete=False)
+    freq = np.bincount(keys.argmin(axis=1), minlength=n) / frames
     sigma = math.sqrt(0.25 * 0.75 / frames)
     assert np.all(np.abs(freq - 0.25) <= 0.01)
     assert np.all(np.abs(freq - 0.25) <= 4 * sigma)
     # exponential mean 1/alpha
-    assert np.all(np.abs(total / frames - 0.5) <= 0.01)
+    assert np.all(np.abs(np.exp(keys).mean(axis=0) - 0.5) <= 0.01)
 
 
-def _winner_frequencies(ages, weights, params, n_trials, aoii=None,
-                        freshness="frame_age", seed=101):
-    n = len(ages.frame_age)
-    streams = [RngStream(seed, (i,)) for i in range(n)]
-    wins = np.zeros(n)
-    for _ in range(n_trials):
-        tv = fresh_csma_timers(streams, ages, weights, params,
-                               freshness=freshness, aoii=aoii)
-        wins[int(np.argmin(tv.log_values))] += 1
-    return wins / n_trials
+def _winner_frequencies(log_rate, params, n_trials, seed=101):
+    keys = contention_keys(_log_e(len(log_rate), n_trials, seed), log_rate,
+                           params, discrete=False)
+    return np.bincount(keys.argmin(axis=1), minlength=len(log_rate)) / n_trials
 
 
 def test_fresh_csma_symmetric_state_even_split():
     params = BackoffParams(alpha=3.0)
-    freq = _winner_frequencies(_ages([1, 1]), np.ones(2), params, 20_000)
+    freq = _winner_frequencies(aoi_log_rates([1, 1], np.ones(2), 3.0),
+                               params, 20_000)
     assert abs(freq[0] - 0.5) <= 3 * math.sqrt(0.25 / 20_000)
 
 
 def test_fresh_csma_win_probabilities_match_closed_form():
     # rates [2, 16]: win probs [2/18, 16/18]
     params = BackoffParams(alpha=2.0)
-    freq = _winner_frequencies(_ages([1, 2]), np.ones(2), params, 50_000)
+    freq = _winner_frequencies(aoi_log_rates([1, 2], np.ones(2), 2.0),
+                               params, 50_000)
     p = 16 / 18
     assert abs(freq[1] - p) <= 3 * math.sqrt(p * (1 - p) / 50_000)
 
@@ -175,56 +171,60 @@ def test_fresh_csma_win_probabilities_match_closed_form():
 def test_fresh_csma_aoii_mode_win_probability():
     # rates [1, 1, 8]: source 3 wins with probability 8/10
     params = BackoffParams(alpha=2.0)
-    freq = _winner_frequencies(_ages([1, 1, 1]), np.ones(3), params, 50_000,
-                               aoii=np.array([0, 0, 3]), freshness="aoii")
+    freq = _winner_frequencies(aoii_log_rates([0, 0, 3], 2.0), params, 50_000)
     assert abs(freq[2] - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
 
 
 def test_fresh_csma_aoii_mode_requires_vector():
-    params = BackoffParams(alpha=2.0)
+    # mismatch ages exist only with Markov sources
+    config = NetworkConfig(2, (1.0, 1.0), 100, 1)
     with pytest.raises(ParameterError):
-        fresh_csma_timers(RngStream(1), _ages([1, 1]), np.ones(2), params,
-                          freshness="aoii")
+        run(config, PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII,
+            BackoffParams(alpha=2.0))
 
 
 def test_fresh_csma_near_realistic_returns_minislots():
     params = BackoffParams(alpha=1.5, beta=1.2, b_offset=50)
-    tv = fresh_csma_timers(RngStream(8), _ages([1, 2, 3]), np.ones(3), params,
-                           mode="near_realistic")
-    assert tv.discrete
-    assert tv.values.dtype == np.int64
-    assert np.all(tv.values >= 0)
+    keys = contention_keys(_log_e(3, 1, 8)[0],
+                           aoi_log_rates([1, 2, 3], np.ones(3), 1.5),
+                           params, discrete=True)
+    assert keys.dtype == np.int64
+    assert np.all(keys >= 0)
 
 
 def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
     # rate alpha**1600: the linear timer rounds to zero, the log key cannot
     params = BackoffParams(alpha=2.0)
-    tv = fresh_csma_timers(RngStream(9), _ages([1, 40]), np.ones(2), params)
-    assert tv.values[1] == 0.0
-    assert np.all(np.isfinite(tv.log_values))
-    assert tv.log_values[1] < tv.log_values[0]
+    log_e = _log_e(2, 1, 9)[0]
+    log_rate = aoi_log_rates([1, 40], np.ones(2), 2.0)
+    keys = contention_keys(log_e, log_rate, params, discrete=False)
+    assert params.delta_scale * math.exp(log_e[1] - log_rate[1]) == 0.0
+    assert np.all(np.isfinite(keys))
+    assert keys[1] < keys[0]
 
 
 def test_fresh_csma_timers_deterministic():
     params = BackoffParams(alpha=1.5)
-    a = fresh_csma_timers(RngStream(10), _ages([2, 5]), np.ones(2), params)
-    b = fresh_csma_timers(RngStream(10), _ages([2, 5]), np.ones(2), params)
-    np.testing.assert_array_equal(a.log_values, b.log_values)
+    log_rate = aoi_log_rates([2, 5], np.ones(2), 1.5)
+    a = contention_keys(_log_e(2, 5, 10), log_rate, params, discrete=False)
+    b = contention_keys(_log_e(2, 5, 10), log_rate, params, discrete=False)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_idealized_delta_scale_never_changes_winner():
-    for i in range(100):
-        small = fresh_csma_timers(RngStream(11, (i,)), _ages([2, 3, 4]),
-                                  np.ones(3), BackoffParams(alpha=1.3,
-                                                            delta_scale=0.001))
-        unit = fresh_csma_timers(RngStream(11, (i,)), _ages([2, 3, 4]),
-                                 np.ones(3), BackoffParams(alpha=1.3,
-                                                           delta_scale=1.0))
-        assert int(np.argmin(small.log_values)) == int(np.argmin(unit.log_values))
+    log_e = _log_e(3, 100, 11)
+    log_rate = aoi_log_rates([2, 3, 4], np.ones(3), 1.3)
+    small = contention_keys(log_e, log_rate,
+                            BackoffParams(alpha=1.3, delta_scale=0.001),
+                            discrete=False)
+    unit = contention_keys(log_e, log_rate,
+                           BackoffParams(alpha=1.3, delta_scale=1.0),
+                           discrete=False)
+    np.testing.assert_array_equal(small.argmin(axis=1), unit.argmin(axis=1))
 
 
 # ---------------------------------------------------------------------------
-# Policy objects
+# Rule table and substreams
 # ---------------------------------------------------------------------------
 
 def _config(n=3):
@@ -232,49 +232,47 @@ def _config(n=3):
 
 
 def test_policy_dispatch_errors():
-    config = _config()
-    central = Policy(PolicyKind.MAX_WEIGHT, config)
+    # run dispatches through RULES, which holds every kind and nothing else
+    assert set(RULES) == set(PolicyKind)
     with pytest.raises(ParameterError):
-        central.timers(_ages([1, 1, 1]))
-    distributed = Policy(PolicyKind.IDEALIZED_FRESH_CSMA, config,
-                         BackoffParams(alpha=1.5))
-    with pytest.raises(ParameterError):
-        distributed.decide(_ages([1, 1, 1]))
+        run(_config(), "max_weight")
 
 
 def test_policy_requires_params_for_csma_kinds():
     with pytest.raises(ParameterError):
-        Policy(PolicyKind.IDEALIZED_CSMA, _config())
+        run(_config(), PolicyKind.IDEALIZED_CSMA)
 
 
 def test_policy_kind_declarations():
-    assert PolicyKind.MAX_WEIGHT.centralized
-    assert PolicyKind.MAX_WEIGHT.freshness == "frame_age"
-    assert PolicyKind.STATIONARY_RANDOMIZED.freshness is None
-    assert PolicyKind.IDEALIZED_CSMA.freshness is None
-    assert not PolicyKind.IDEALIZED_FRESH_CSMA.discrete_timers
-    assert PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII.discrete_timers
-    assert PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII.freshness == "aoii"
-    assert PolicyKind.MAX_AOII.centralized
+    assert RULES[PolicyKind.MAX_WEIGHT] == ("max_weight", "frame_age", False)
+    assert RULES[PolicyKind.STATIONARY_RANDOMIZED].signal is None
+    assert RULES[PolicyKind.IDEALIZED_CSMA] == ("contention", None, False)
+    assert not RULES[PolicyKind.IDEALIZED_FRESH_CSMA].discrete
+    assert RULES[PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII].discrete
+    assert RULES[PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII].signal == "aoii"
+    assert RULES[PolicyKind.MAX_AOII].decide == "max_aoii"
 
 
 def test_policy_same_stream_reproduces():
-    config = _config()
     params = BackoffParams(alpha=1.5)
-    a = Policy(PolicyKind.IDEALIZED_FRESH_CSMA, config, params,
-               stream=RngStream(17, (1, 3)))
-    b = Policy(PolicyKind.IDEALIZED_FRESH_CSMA, config, params,
-               stream=RngStream(17, (1, 3)))
-    ages = _ages([1, 2, 3])
-    np.testing.assert_array_equal(a.timers(ages).log_values,
-                                  b.timers(ages).log_values)
+    a = run(_config(), PolicyKind.IDEALIZED_FRESH_CSMA, params, prefix=(3,))
+    b = run(_config(), PolicyKind.IDEALIZED_FRESH_CSMA, params, prefix=(3,))
+    assert a == b
+    c = run(_config(), PolicyKind.IDEALIZED_FRESH_CSMA, params, prefix=(4,))
+    assert c != a
 
 
 def test_policy_streams_isolated_by_kind():
-    config = _config()
-    params = BackoffParams(alpha=1.5)
-    fresh = Policy(PolicyKind.IDEALIZED_FRESH_CSMA, config, params)
-    plain = Policy(PolicyKind.IDEALIZED_CSMA, config, params)
-    ages = _ages([1, 1, 1])
-    assert not np.array_equal(fresh.timers(ages).log_values,
-                              plain.timers(ages).log_values)
+    _, _, fresh = substreams(17, (), PolicyKind.IDEALIZED_FRESH_CSMA, 3)
+    _, _, plain = substreams(17, (), PolicyKind.IDEALIZED_CSMA, 3)
+    assert fresh[0].path == (1, 3, 1) and plain[0].path == (1, 2, 1)
+    assert (fresh[0].exponential_sequence(4).tolist()
+            != plain[0].exponential_sequence(4).tolist())
+
+
+def test_substream_layout():
+    engine, decision, sources = substreams(5, (2,), PolicyKind.MAX_AOII, 4)
+    assert (engine.path, decision.path, sources) == ((2, 0), (2, 1, 5, 0), [])
+    engine, _, sources = substreams(5, (), PolicyKind.IDEALIZED_CSMA, 2)
+    assert engine.path == (0,)
+    assert [s.path for s in sources] == [(1, 2, 1), (1, 2, 2)]
