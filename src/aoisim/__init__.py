@@ -5,8 +5,7 @@ from .analysis import (
     BoundReport,
     distinct_timer_bound,
     lyapunov_drift_pair,
-    max_aoii_match_probability,
-    max_weight_match_probability,
+    match_probability,
     overhead_upper_bound,
     timer_separation_term,
     upper_incomplete_gamma_zero,
@@ -45,9 +44,9 @@ __all__ = [
     "ExperimentSpec", "NetworkConfig", "ParameterError", "ParamsReport",
     "PolicyKind", "RngStream", "SimulationResult", "distinct_timer_bound",
     "drift_alpha_threshold", "lyapunov_drift_pair", "match_alpha_threshold",
-    "max_aoii_match_probability", "max_weight_match_probability",
-    "overhead_upper_bound", "parse_config", "preset", "recommended_defaults",
-    "run", "run_experiment", "scheduling_probabilities",
-    "stationary_randomized_probs", "timer_separation_term",
-    "upper_incomplete_gamma_zero", "validate_params", "write_csv",
+    "match_probability", "overhead_upper_bound", "parse_config", "preset",
+    "recommended_defaults", "run", "run_experiment",
+    "scheduling_probabilities", "stationary_randomized_probs",
+    "timer_separation_term", "upper_incomplete_gamma_zero",
+    "validate_params", "write_csv",
 ]

@@ -16,7 +16,7 @@ from .core import (
     BackoffParams,
     ParameterError,
     RngStream,
-    aoi_log_rates,
+    aoi_exponents,
     discretize_log_timers,
     log_sum_exp,
 )
@@ -190,7 +190,7 @@ def overhead_upper_bound(ages: np.ndarray, weights: np.ndarray,
     With minislots=True the bound is returned in minislots instead of
     time units.
     """
-    log_total = log_sum_exp(aoi_log_rates(ages, weights, params.alpha))
+    log_total = log_sum_exp(aoi_exponents(ages, weights) * params.ln_alpha)
     return overhead_upper_bound_from_log_rate(log_total, params,
                                               minislots=minislots)
 
@@ -215,38 +215,33 @@ def overhead_upper_bound_from_log_rate(log_total_rate: float,
 # Match probabilities and Lyapunov drift
 # ---------------------------------------------------------------------------
 
-def max_weight_match_probability(frame_age: np.ndarray, weights: np.ndarray,
-                                 alpha: float) -> float:
-    """Probability the distributed contention lands in the max-weight
-    argmax set, evaluated exactly from the closed-form win distribution."""
-    age = np.asarray(frame_age, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    scores = w * age * age
-    probs = scheduling_probabilities(alpha, frame_age=age, weights=w)
-    return float(probs[scores == scores.max()].sum())
-
-
-def max_aoii_match_probability(aoii: np.ndarray, alpha: float) -> float:
-    """Same mass, for contention driven by mismatch ages."""
-    a = np.asarray(aoii, dtype=float)
-    probs = scheduling_probabilities(alpha, aoii=a)
-    return float(probs[a == a.max()].sum())
+def match_probability(exponent: np.ndarray,
+                      alpha: "float | np.ndarray") -> "float | np.ndarray":
+    """Probability the distributed contention lands in the argmax set of
+    the exponent (the centralized argmax rule's choices), evaluated
+    exactly from the closed-form win distribution; one mass per row of
+    the last axis."""
+    e = np.asarray(exponent, dtype=float)
+    probs = scheduling_probabilities(alpha, e)
+    return np.where(e == e.max(axis=-1, keepdims=True), probs, 0.0).sum(axis=-1)
 
 
 def lyapunov_drift_pair(frame_age: np.ndarray, weights: np.ndarray,
-                        alpha: float) -> tuple[float, float]:
+                        alpha: "float | np.ndarray") -> tuple:
     """Conditional one-frame drifts of sum_i sqrt(w_i) * age_i.
 
     Returns (distributed contention drift, optimal stationary randomized
     drift); both have the closed form sum_j sqrt(w_j) - sum_j p_j *
     sqrt(w_j) * age_j for their respective scheduling distribution p.
+    States run along the last axis, with one alpha per state if alpha
+    is an array.
     """
     age = np.asarray(frame_age, dtype=float)
     w = np.asarray(weights, dtype=float)
     sqrt_w = np.sqrt(w)
-    r = scheduling_probabilities(alpha, frame_age=age, weights=w)
+    r = scheduling_probabilities(alpha, aoi_exponents(age, w))
     pi_star = stationary_randomized_probs(w)
-    base = float(sqrt_w.sum())
-    drift_csma = base - float((r * sqrt_w * age).sum())
-    drift_sr = base - float((pi_star * sqrt_w * age).sum())
+    base = sqrt_w.sum(axis=-1)
+    drift_csma = base - (r * sqrt_w * age).sum(axis=-1)
+    drift_sr = base - (pi_star * sqrt_w * age).sum(axis=-1)
     return drift_csma, drift_sr

@@ -17,15 +17,15 @@ import numpy as np
 from .analysis import (
     distinct_timer_bound,
     lyapunov_drift_pair,
-    max_aoii_match_probability,
-    max_weight_match_probability,
+    match_probability,
     overhead_upper_bound,
     timer_separation_term,
 )
 from .core import (
     BackoffParams,
+    ParameterError,
     RngStream,
-    aoi_log_rates,
+    aoi_exponents,
     discretize_log_timers,
     drift_alpha_threshold,
     match_alpha_threshold,
@@ -33,6 +33,9 @@ from .core import (
 from .policies import scheduling_probabilities
 
 DEFAULT_SEED = 20260808
+# Random states drawn and evaluated per block, so memory stays bounded
+# at any trial count; the default counts fit in one block.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -49,50 +52,60 @@ class CheckResult:
                 f"over {self.trials} trials ({self.detail})")
 
 
-def _state_stream(seed: int) -> RngStream:
+def _state_stream(seed: int, **counts: int) -> RngStream:
+    """The stream random states are drawn from, once every trial and
+    sample count is at least 1."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ParameterError(f"{name} must be >= 1, got {count}")
     return RngStream(seed, (2,))
+
+
+def _blocks(trials: int) -> list[int]:
+    """Row counts of the state blocks that make up trials states."""
+    return [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
 
 
 # ---------------------------------------------------------------------------
 # Per-frame match with the centralized argmax rules
 # ---------------------------------------------------------------------------
 
+def _match_check(name: str, states, trials: int, n: int, delta: float,
+                 alpha: float | None) -> CheckResult:
+    """Closed-form contention mass on the argmax set is at least 1 - delta
+    at every state; states(rows) draws the exponents of rows states."""
+    if alpha is None:
+        alpha = match_alpha_threshold(n, delta)
+    worst = min(float((match_probability(states(rows), alpha)
+                       - (1.0 - delta)).min()) for rows in _blocks(trials))
+    return CheckResult(name=name, ok=worst >= 0.0,
+                       worst_margin=worst, trials=trials,
+                       detail=f"n={n} alpha={alpha:g} delta={delta:g}, "
+                              f"margin = mass - (1 - delta)")
+
+
 def check_max_weight_match(trials: int = 10_000, n: int = 10,
                            delta: float = 0.1, alpha: float | None = None,
                            seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form contention mass on the max-weight argmax set is at
     least 1 - delta at every random integer-age, integer-weight state."""
-    stream = _state_stream(seed)
-    if alpha is None:
-        alpha = match_alpha_threshold(n, delta)
-    worst = math.inf
-    for _ in range(trials):
-        ages = np.array([1 + stream.integer(20) for _ in range(n)])
-        weights = np.array([1 + stream.integer(5) for _ in range(n)], dtype=float)
-        mass = max_weight_match_probability(ages, weights, alpha)
-        worst = min(worst, mass - (1.0 - delta))
-    return CheckResult(name="max-weight match probability", ok=worst >= 0.0,
-                       worst_margin=worst, trials=trials,
-                       detail=f"n={n} alpha={alpha:g} delta={delta:g}, "
-                              f"margin = mass - (1 - delta)")
+    stream = _state_stream(seed, trials=trials)
+
+    def states(rows: int) -> np.ndarray:
+        ages = 1 + stream.integers(20, (rows, n))
+        return aoi_exponents(ages, 1 + stream.integers(5, (rows, n)))
+    return _match_check("max-weight match probability", states, trials, n,
+                        delta, alpha)
 
 
 def check_max_aoii_match(trials: int = 10_000, n: int = 10,
                          delta: float = 0.1, alpha: float | None = None,
                          seed: int = DEFAULT_SEED) -> CheckResult:
     """Same guarantee with integer mismatch ages as the exponents."""
-    stream = _state_stream(seed)
-    if alpha is None:
-        alpha = match_alpha_threshold(n, delta)
-    worst = math.inf
-    for _ in range(trials):
-        aoii = np.array([stream.integer(30) for _ in range(n)])
-        mass = max_aoii_match_probability(aoii, alpha)
-        worst = min(worst, mass - (1.0 - delta))
-    return CheckResult(name="max-mismatch-age match probability", ok=worst >= 0.0,
-                       worst_margin=worst, trials=trials,
-                       detail=f"n={n} alpha={alpha:g} delta={delta:g}, "
-                              f"margin = mass - (1 - delta)")
+    stream = _state_stream(seed, trials=trials)
+    return _match_check("max-mismatch-age match probability",
+                        lambda rows: stream.integers(30, (rows, n)), trials, n,
+                        delta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +116,15 @@ def check_winner_distribution(trials: int = 20, samples: int = 100_000,
                               seed: int = DEFAULT_SEED) -> CheckResult:
     """Empirical winner frequencies of the idealized contention match the
     closed-form distribution within 3 Monte Carlo standard errors."""
-    stream = _state_stream(seed)
+    stream = _state_stream(seed, trials=trials, samples=samples)
     grid = [(n, alpha) for n in (2, 5, 10) for alpha in (1.1, 2.0, 9.0)]
     worst = math.inf
     for s in range(trials):
         n, alpha = grid[s % len(grid)]
         ages = np.array([1 + stream.integer(8) for _ in range(n)])
-        weights = np.ones(n)
-        probs = scheduling_probabilities(alpha, frame_age=ages, weights=weights)
-        log_rate = aoi_log_rates(ages, weights, alpha)
+        exponent = aoi_exponents(ages, np.ones(n))
+        probs = scheduling_probabilities(alpha, exponent)
+        log_rate = exponent * math.log(alpha)
         # winner = argmin of ln E_i - log_rate_i across samples
         keys = np.vstack([np.log(stream.unit_exponentials(samples)) - log_rate[i]
                           for i in range(n)])
@@ -133,15 +146,15 @@ def check_drift_dominance(trials: int = 10_000, n: int = 10,
                           seed: int = DEFAULT_SEED) -> CheckResult:
     """Contention drift never exceeds the optimal stationary randomized
     drift at random integer states once alpha clears its threshold."""
-    stream = _state_stream(seed)
+    stream = _state_stream(seed, trials=trials)
     worst = math.inf
-    for _ in range(trials):
-        weights = np.array([1 + stream.integer(5) for _ in range(n)], dtype=float)
-        ages = np.array([1 + stream.integer(20) for _ in range(n)])
+    for rows in _blocks(trials):
+        weights = 1 + stream.integers(5, (rows, n))
+        ages = 1 + stream.integers(20, (rows, n))
         alpha = 1.01 * drift_alpha_threshold(weights)
         d_csma, d_sr = lyapunov_drift_pair(ages, weights, alpha)
         # 1e-9 absorbs float rounding at exactly-tied states
-        worst = min(worst, (d_sr - d_csma) + 1e-9)
+        worst = min(worst, float(((d_sr - d_csma) + 1e-9).min()))
     return CheckResult(name="drift domination", ok=worst >= 0.0,
                        worst_margin=worst, trials=trials,
                        detail=f"n={n}, margin = randomized drift - contention drift")
@@ -156,7 +169,7 @@ def check_distinct_timer_bound(samples: int = 100_000,
     """Monte Carlo P(distinct minislot timers) respects its closed-form
     lower bound on a (rate, beta, B) grid, and the bound's directional
     terms are non-decreasing in B."""
-    stream = _state_stream(seed)
+    stream = _state_stream(seed, samples=samples)
     log_rates = (0.0, 10.0, 20.0)
     betas = (1.1, 1.5, 2.0)
     b_grid = (0, 10, 250)
@@ -193,14 +206,14 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
                           n: int = 10, seed: int = DEFAULT_SEED) -> CheckResult:
     """Sampled mean winning timer stays below the closed-form idle-time
     bound at random states."""
-    stream = _state_stream(seed)
+    stream = _state_stream(seed, trials=trials, samples=samples)
     worst = math.inf
     for _ in range(trials):
         ages = np.array([1 + stream.integer(10) for _ in range(n)])
         weights = np.ones(n)
         params = BackoffParams(alpha=1.2, beta=1.0 + 0.1 + 0.4 * stream.uniform(),
                                b_offset=200 + stream.integer(100))
-        log_rate = aoi_log_rates(ages, weights, params.alpha)
+        log_rate = aoi_exponents(ages, weights) * params.ln_alpha
         d_matrix = np.vstack([
             discretize_log_timers(
                 np.log(stream.unit_exponentials(samples)) - log_rate[i], params)

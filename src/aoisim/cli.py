@@ -88,9 +88,6 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ParameterError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     return _emit(spec, args.output)
 
 
@@ -99,10 +96,9 @@ def cmd_preset(args) -> int:
         n_values = None
         if args.n_values:
             n_values = [int(v) for v in args.n_values.split(",")]
-        spec = preset(args.name, seed=args.seed if args.seed is not None
-                      else 20260808,
+        spec = preset(args.name, seed=args.seed,
                       horizon=args.horizon,
-                      replications=args.replications or 1,
+                      replications=args.replications,
                       n_values=n_values,
                       log_base=math.e if args.natural_log else 10.0)
     except (ConfigError, ParameterError, ValueError) as exc:
@@ -166,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("preset", help="reproduce a benchmark scenario")
     p_pre.add_argument("name", choices=PRESET_NAMES)
-    p_pre.add_argument("--seed", type=int)
+    p_pre.add_argument("--seed", type=int, default=20260808)
     p_pre.add_argument("--horizon", type=int)
-    p_pre.add_argument("--replications", type=int)
+    p_pre.add_argument("--replications", type=int, default=1)
     p_pre.add_argument("--n-values", help="comma list of network sizes")
     p_pre.add_argument("--natural-log", action="store_true",
                        help="use natural logs in the parameter formulas "
@@ -200,8 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Some bad values surface only once a run or check starts, e.g. a
+    # negative --seed or a --trials below 1.
     try:
         return args.func(args)
+    except (ConfigError, ParameterError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -104,6 +104,12 @@ class RngStream:
             raise ParameterError(f"integer() needs n >= 1, got {n}")
         return min(int(self.uniform() * n), n - 1)
 
+    def integers(self, n: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Uniform integers in [0, n) from bulk uniforms (see uniforms())."""
+        if n <= 0:
+            raise ParameterError(f"integers() needs n >= 1, got {n}")
+        return np.minimum((self.uniforms(shape) * n).astype(np.int64), n - 1)
+
 
 # ---------------------------------------------------------------------------
 # Configuration types
@@ -216,18 +222,14 @@ class AgeState:
 
 
 # ---------------------------------------------------------------------------
-# Log-domain rate construction
+# Rate exponents
 # ---------------------------------------------------------------------------
 
-def aoi_log_rates(frame_age: np.ndarray, weights: np.ndarray, alpha: float) -> np.ndarray:
-    """log of alpha**(w_i * age_i**2) per source."""
+def aoi_exponents(frame_age: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The AoI exponent w_i * age_i**2 per source; its log rate is
+    exponent * ln(alpha)."""
     age = np.asarray(frame_age, dtype=float)
-    return np.asarray(weights, dtype=float) * age * age * math.log(alpha)
-
-
-def aoii_log_rates(aoii: np.ndarray, alpha: float) -> np.ndarray:
-    """log of alpha**aoii_i per source; mismatch ages enter unweighted."""
-    return np.asarray(aoii, dtype=float) * math.log(alpha)
+    return np.asarray(weights, dtype=float) * age * age
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -283,13 +285,14 @@ def match_alpha_threshold(n_sources: int, delta: float) -> float:
     return (n_sources - 1) * (1.0 - delta) / delta
 
 
-def drift_alpha_threshold(weights: Sequence[float]) -> float:
-    """Alpha above which the drift-domination guarantee applies."""
+def drift_alpha_threshold(weights: Sequence[float]) -> "float | np.ndarray":
+    """Alpha above which the drift-domination guarantee applies; one per
+    weight vector along the last axis."""
     w = np.asarray(weights, dtype=float)
-    if len(w) == 0 or np.any(w <= 0):
+    if w.size == 0 or np.any(w <= 0):
         raise ParameterError("weights must be a non-empty positive vector")
-    n = len(w)
-    return (n - 1) * float(np.sqrt(w).sum()) / float(np.sqrt(w).min())
+    s = np.sqrt(w)
+    return (w.shape[-1] - 1) * s.sum(axis=-1) / s.min(axis=-1)
 
 
 def recommended_defaults(n_sources: int, weights: Sequence[float], *,
@@ -331,7 +334,7 @@ def validate_params(config: NetworkConfig, params: BackoffParams,
     """
     n = config.n_sources
     thr_match = match_alpha_threshold(n, delta)
-    thr_drift = drift_alpha_threshold(config.weights)
+    thr_drift = float(drift_alpha_threshold(config.weights))
     warnings = []
     match_ok = params.alpha >= thr_match
     drift_ok = params.alpha > thr_drift

@@ -24,15 +24,13 @@ from .core import (
     NetworkConfig,
     ParameterError,
     RngStream,
-    aoi_log_rates,
-    aoii_log_rates,
 )
 from .policies import (
     RULES,
     PolicyKind,
+    argmax_decide,
     contention_keys,
-    max_aoii_decide,
-    max_weight_decide,
+    exponents,
     sample_from_probs,
     stationary_randomized_probs,
 )
@@ -220,10 +218,11 @@ def run(config: NetworkConfig, kind: PolicyKind,
         q = np.broadcast_to(np.atleast_1d(np.asarray(markov_q, dtype=float)),
                             (n,)).copy()
         markov = MarkovNetState.initial(q, engine_stream)
-    if rule.decide == "stationary_randomized":
+    if rule.decide == "randomized":
         probs = stationary_randomized_probs(config.weights)
     if contention:
         exponentials = _exponentials(sources)
+        ln_alpha = params.ln_alpha
         m = params.minislots_per_update if rule.discrete else None
 
     target = config.horizon_frames
@@ -251,24 +250,17 @@ def run(config: NetworkConfig, kind: PolicyKind,
 
         # Ages entering the frame feed the frame-mean AoI.
         frame_age_sum += ages.frame_age
+        exponent = exponents(rule.signal, ages.frame_age, w,
+                             None if markov is None else markov.aoii)
         if contention:
             e = next(exponentials)
-            if rule.signal == "frame_age":
-                log_rate = aoi_log_rates(ages.frame_age, w, params.alpha)
-            elif rule.signal == "aoii":
-                log_rate = aoii_log_rates(markov.aoii, params.alpha)
-            else:
-                log_rate = params.ln_alpha
+            log_rate = exponent * ln_alpha
             key = contention_keys(np.log(e), log_rate, params, rule.discrete)
             clock_before = ages.clock_age.copy() if rule.discrete else None
             j, collided, duration = frame_step(ages, markov, key, m)
         else:
-            if rule.decide == "max_weight":
-                j = max_weight_decide(ages.frame_age, w, decision)
-            elif rule.decide == "max_aoii":
-                j = max_aoii_decide(markov.aoii, decision)
-            else:
-                j = sample_from_probs(probs, decision)
+            j = (argmax_decide(exponent, decision) if rule.decide == "argmax"
+                 else sample_from_probs(probs, decision))
             collided, duration = False, None
             advance(ages, markov, j)
 

@@ -178,19 +178,18 @@ def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
     """
     n_sweep = tuple(float(v) for v in (n_values or DESK_SCALE_N))
     common = dict(base_seed=seed, replications=replications,
+                  horizon=DEFAULT_HORIZON if horizon is None else horizon,
                   log_base=log_base, output_path=output_path)
 
     if name == "fig3_symmetric":
         return ExperimentSpec(scenario=name, policies=_AOI_POLICIES,
                               n_sources=10, weights="ones",
-                              horizon=horizon or DEFAULT_HORIZON,
                               horizon_unit="deliveries",
                               sweep_param="n_sources", sweep_values=n_sweep,
                               **common)
     if name == "fig4_sqrt_weights":
         return ExperimentSpec(scenario=name, policies=_AOI_POLICIES,
                               n_sources=10, weights="sqrt",
-                              horizon=horizon or DEFAULT_HORIZON,
                               horizon_unit="deliveries",
                               sweep_param="n_sources", sweep_values=n_sweep,
                               **common)
@@ -200,7 +199,6 @@ def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
                                         PolicyKind.IDEALIZED_FRESH_CSMA,
                                         PolicyKind.NEAR_REALISTIC_FRESH_CSMA),
                               n_sources=10, weights="ones",
-                              horizon=horizon or DEFAULT_HORIZON,
                               horizon_unit="deliveries",
                               sweep_param="alpha",
                               sweep_values=(1.01, 1.05, 1.1, 1.5, 2.0, 5.0, 9.0),
@@ -209,7 +207,6 @@ def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
         return ExperimentSpec(scenario=name,
                               policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
                               n_sources=10, weights="ones",
-                              horizon=horizon or DEFAULT_HORIZON,
                               horizon_unit="frames",
                               sweep_param="beta",
                               sweep_values=(1.01, 1.05, 1.1, 1.2, 1.5, 2.0),
@@ -218,7 +215,6 @@ def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
         return ExperimentSpec(scenario=name,
                               policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
                               n_sources=10, weights="ones",
-                              horizon=horizon or DEFAULT_HORIZON,
                               horizon_unit="frames",
                               sweep_param="b_offset",
                               sweep_values=(0, 5, 10, 50, 100, 250, 260, 300),
@@ -226,7 +222,6 @@ def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
     if name in ("fig10_aoii", "fig11_aoii_aoi"):
         return ExperimentSpec(scenario=name, policies=_AOII_POLICIES,
                               n_sources=10, weights="ones",
-                              horizon=horizon or DEFAULT_HORIZON,
                               horizon_unit="deliveries",
                               markov_q=0.05, aoii_defaults=True,
                               sweep_param="n_sources", sweep_values=n_sweep,

@@ -1,10 +1,12 @@
 """Scheduling rules: centralized baselines and distributed contention.
 
-A centralized rule schedules one source per frame.  Under distributed
-contention every source draws a backoff timer at rate alpha**e_i and the
-channel resolves the minimum (see engine.run).  RULES says, per
-PolicyKind, which rule runs, which signal the exponent e_i reads and
-whether timers are compared on the minislot grid.
+Every rule is a function of one per-source exponent e_i (see exponents).
+A centralized rule schedules one source per frame: the argmax of e_i, or
+a state-independent draw.  Under distributed contention every source
+draws a backoff timer at rate alpha**e_i and the channel resolves the
+minimum (see engine.run).  RULES says, per PolicyKind, which rule runs,
+which signal the exponent e_i reads and whether timers are compared on
+the minislot grid.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .core import (
     BackoffParams,
     ParameterError,
     RngStream,
-    aoi_log_rates,
-    aoii_log_rates,
+    aoi_exponents,
     discretize_log_timers,
 )
 
@@ -39,13 +40,14 @@ class PolicyKind(Enum):
 class Rule(NamedTuple):
     """How one PolicyKind schedules.
 
-    decide is "max_weight", "stationary_randomized" or "max_aoii" for a
-    centralized rule and "contention" for the distributed one.  signal
-    is the state the rule reads: "frame_age" (exponent w_i * age_i**2),
-    "aoii" (the mismatch age, unweighted) or None (state-independent;
-    contention then uses exponent 1 for every source).  discrete marks
-    contention compared on the minislot grid, i.e. the near-realistic
-    channel model.
+    decide is "argmax" (schedule the largest exponent: max-weight on
+    frame ages, max-AoII on mismatch ages) or "randomized" (the optimal
+    stationary randomized draw) for a centralized rule, and "contention"
+    for the distributed one.  signal is the state the exponent reads:
+    "frame_age" (w_i * age_i**2), "aoii" (the mismatch age, unweighted)
+    or None (state-independent: exponent 1 for every source).  discrete
+    marks contention compared on the minislot grid, i.e. the
+    near-realistic channel model.
     """
 
     decide: str
@@ -54,55 +56,52 @@ class Rule(NamedTuple):
 
 
 RULES = {
-    PolicyKind.MAX_WEIGHT: Rule("max_weight", "frame_age", False),
-    PolicyKind.STATIONARY_RANDOMIZED: Rule("stationary_randomized", None, False),
+    PolicyKind.MAX_WEIGHT: Rule("argmax", "frame_age", False),
+    PolicyKind.STATIONARY_RANDOMIZED: Rule("randomized", None, False),
     PolicyKind.IDEALIZED_CSMA: Rule("contention", None, False),
     PolicyKind.IDEALIZED_FRESH_CSMA: Rule("contention", "frame_age", False),
     PolicyKind.NEAR_REALISTIC_FRESH_CSMA: Rule("contention", "frame_age", True),
-    PolicyKind.MAX_AOII: Rule("max_aoii", "aoii", False),
+    PolicyKind.MAX_AOII: Rule("argmax", "aoii", False),
     PolicyKind.IDEALIZED_FRESH_CSMA_AOII: Rule("contention", "aoii", False),
     PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII: Rule("contention", "aoii", True),
 }
+
+
+def exponents(signal: str | None, frame_age: np.ndarray, weights: np.ndarray,
+              aoii: np.ndarray | None) -> "np.ndarray | float":
+    """The exponent e_i that signal reads: w_i * age_i**2, the mismatch
+    age as float, or 1.0 for every source."""
+    if signal == "frame_age":
+        return aoi_exponents(frame_age, weights)
+    if signal == "aoii":
+        return np.asarray(aoii, dtype=float)
+    return 1.0
 
 
 # ---------------------------------------------------------------------------
 # Centralized rules
 # ---------------------------------------------------------------------------
 
-def _argmax_set(scores: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(scores == scores.max())
+def argmax_decide(exponent: np.ndarray, stream: RngStream) -> int:
+    """Schedule the argmax of the exponent, breaking ties uniformly.
 
-
-def max_weight_decide(frame_age: np.ndarray, weights: np.ndarray,
-                      stream: RngStream) -> int:
-    """Schedule argmax of w_i * age_i**2, breaking ties uniformly."""
-    age = np.asarray(frame_age, dtype=float)
-    scores = np.asarray(weights, dtype=float) * age * age
-    top = _argmax_set(scores)
-    if len(top) == 1:
-        return int(top[0])
-    return int(top[stream.integer(len(top))])
-
-
-def max_aoii_decide(aoii: np.ndarray, stream: RngStream) -> int:
-    """Schedule the source whose estimate has been wrong the longest.
-
-    A hypothetical oracle baseline: it needs the true source states, so
-    no base station could actually run it.
+    On mismatch ages this is max-AoII, a hypothetical oracle baseline:
+    it needs the true source states, so no base station could run it.
     """
-    top = _argmax_set(np.asarray(aoii, dtype=float))
+    top = np.flatnonzero(exponent == exponent.max())
     if len(top) == 1:
         return int(top[0])
     return int(top[stream.integer(len(top))])
 
 
 def stationary_randomized_probs(weights: Sequence[float]) -> np.ndarray:
-    """Optimal fixed scheduling distribution: sqrt(w_i) / sum_j sqrt(w_j)."""
+    """Optimal fixed scheduling distribution: sqrt(w_i) / sum_j sqrt(w_j),
+    along the last axis."""
     w = np.asarray(weights, dtype=float)
-    if len(w) == 0 or np.any(w <= 0):
+    if w.size == 0 or np.any(w <= 0):
         raise ParameterError("weights must be a non-empty positive vector")
     s = np.sqrt(w)
-    return s / s.sum()
+    return s / s.sum(axis=-1, keepdims=True)
 
 
 def sample_from_probs(probs: np.ndarray, stream: RngStream) -> int:
@@ -131,24 +130,17 @@ def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
     return math.log(params.delta_scale) + log_z
 
 
-def scheduling_probabilities(alpha: float, *,
-                             frame_age: np.ndarray | None = None,
-                             weights: np.ndarray | None = None,
-                             aoii: np.ndarray | None = None) -> np.ndarray:
+def scheduling_probabilities(alpha: "float | np.ndarray",
+                             exponent: np.ndarray) -> np.ndarray:
     """Closed-form per-frame win distribution of the contention.
 
-    Source i wins with probability alpha**e_i / sum_j alpha**e_j.
+    Source i wins with probability alpha**e_i / sum_j alpha**e_j, along
+    the last axis of exponent; an array alpha holds one value per row.
     Evaluated as a max-shifted softmax over e_i * ln(alpha), which is
     invariant under common rate rescaling and never overflows.
     """
-    if (aoii is None) == (frame_age is None):
-        raise ParameterError("pass exactly one of frame_age (+weights) or aoii")
-    if aoii is not None:
-        log_rate = aoii_log_rates(aoii, alpha)
-    else:
-        if weights is None:
-            raise ParameterError("frame_age form needs weights")
-        log_rate = aoi_log_rates(frame_age, weights, alpha)
-    shifted = log_rate - log_rate.max()
-    num = np.exp(shifted)
-    return num / num.sum()
+    # math.log for a scalar alpha: numpy's log can differ in the last bit
+    ln_alpha = np.log(alpha)[..., None] if np.ndim(alpha) else math.log(alpha)
+    log_rate = np.asarray(exponent, dtype=float) * ln_alpha
+    num = np.exp(log_rate - log_rate.max(axis=-1, keepdims=True))
+    return num / num.sum(axis=-1, keepdims=True)

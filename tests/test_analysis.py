@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from aoisim import (
@@ -9,10 +10,11 @@ from aoisim import (
     ParameterError,
     RngStream,
     distinct_timer_bound,
+    drift_alpha_threshold,
     lyapunov_drift_pair,
-    max_aoii_match_probability,
-    max_weight_match_probability,
+    match_probability,
     overhead_upper_bound,
+    scheduling_probabilities,
     timer_separation_term,
     upper_incomplete_gamma_zero,
 )
@@ -21,7 +23,7 @@ from aoisim.analysis import (
     LN_MIN_NORMAL,
     overhead_upper_bound_from_log_rate,
 )
-from aoisim.core import aoi_log_rates, discretize_log_timers, log_sum_exp
+from aoisim.core import aoi_exponents, discretize_log_timers, log_sum_exp
 
 
 def gamma0_quadrature(x: float) -> float:
@@ -177,7 +179,7 @@ def test_overhead_bound_sampled_mean_stays_below():
     weights = np.ones(5)
     params = BackoffParams(alpha=1.3, beta=1.25, b_offset=120)
     bound = overhead_upper_bound(ages, weights, params, minislots=True)
-    log_rate = aoi_log_rates(ages, weights, params.alpha)
+    log_rate = aoi_exponents(ages, weights) * params.ln_alpha
     stream = RngStream(63)
     samples = 100_000
     d = np.vstack([
@@ -235,7 +237,7 @@ def test_overhead_bound_survives_underflowing_cells():
     ages = np.arange(1, 11)
     for beta, b_offset in ((2.0, 2000), (1.196, 5000)):
         params = BackoffParams(alpha=1.1, beta=beta, b_offset=b_offset)
-        log_total = log_sum_exp(aoi_log_rates(ages, np.ones(10), 1.1))
+        log_total = log_sum_exp(aoi_exponents(ages, np.ones(10)) * math.log(1.1))
         arg_log = log_total - b_offset * params.ln_beta
         assert arg_log < LN_MIN_NORMAL
         slots = overhead_upper_bound(ages, np.ones(10), params, minislots=True)
@@ -258,26 +260,25 @@ def test_overhead_bound_time_vs_minislot_units():
 
 def test_match_probability_two_source_anchor():
     # rates [9, 9**4]: mass on the older source is 6561/6570
-    mass = max_weight_match_probability(np.array([1, 2]), np.ones(2), 9.0)
+    mass = match_probability(aoi_exponents([1, 2], np.ones(2)), 9.0)
     assert mass == pytest.approx(6561 / 6570, rel=1e-12)
     assert mass >= 0.9
 
 
 def test_match_probability_all_tie_is_one():
-    assert max_weight_match_probability(np.array([3, 3, 3]), np.ones(3), 2.0) \
+    assert match_probability(aoi_exponents([3, 3, 3], np.ones(3)), 2.0) \
         == pytest.approx(1.0)
 
 
 def test_match_probability_threshold_instance():
     ages = np.array([2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-    assert max_weight_match_probability(ages, np.ones(10), 81.0) >= 0.9
+    assert match_probability(aoi_exponents(ages, np.ones(10)), 81.0) >= 0.9
 
 
 def test_aoii_match_probability():
-    assert max_aoii_match_probability(np.array([0, 0, 4]), 2.0) \
+    assert match_probability(np.array([0, 0, 4]), 2.0) \
         == pytest.approx(16 / 18)  # rates [1, 1, 16]
-    assert max_aoii_match_probability(np.array([0, 0, 0]), 2.0) \
-        == pytest.approx(1.0)
+    assert match_probability(np.array([0, 0, 0]), 2.0) == pytest.approx(1.0)
 
 
 def test_drift_pair_symmetric_state():
@@ -303,3 +304,38 @@ def test_drift_pair_log_domain_states():
     d_csma, d_sr = lyapunov_drift_pair(np.array([10, 50]), np.ones(2), 3.0)
     assert math.isfinite(d_csma) and math.isfinite(d_sr)
     assert d_csma == pytest.approx(2.0 - 50.0)  # all mass on age 50
+
+
+# ---------------------------------------------------------------------------
+# Array forms: a (trials, n) block evaluates row by row
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(trials=st.integers(1, 12), n=st.integers(1, 8), top_age=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_forms_equal_row_calls(trials, n, top_age, seed):
+    # small top ages make tied argmax sets common
+    rng = np.random.default_rng(seed)
+    ages = rng.integers(1, top_age + 1, (trials, n))
+    weights = rng.integers(1, 6, (trials, n)).astype(float)
+    exponent = aoi_exponents(ages, weights)
+    alpha = 1.0 + 100.0 * rng.random(trials)
+    probs = scheduling_probabilities(alpha, exponent)
+    probs_fixed = scheduling_probabilities(3.0, exponent)
+    mass = match_probability(exponent, alpha)
+    d_csma, d_sr = lyapunov_drift_pair(ages, weights, alpha)
+    threshold = drift_alpha_threshold(weights)
+    close = dict(rtol=1e-12, atol=1e-12)
+    for k in range(trials):
+        a = float(alpha[k])
+        np.testing.assert_allclose(
+            probs[k], scheduling_probabilities(a, exponent[k]), **close)
+        np.testing.assert_allclose(
+            probs_fixed[k], scheduling_probabilities(3.0, exponent[k]), **close)
+        np.testing.assert_allclose(mass[k], match_probability(exponent[k], a),
+                                   **close)
+        np.testing.assert_allclose(
+            (d_csma[k], d_sr[k]), lyapunov_drift_pair(ages[k], weights[k], a),
+            **close)
+        np.testing.assert_allclose(threshold[k],
+                                   drift_alpha_threshold(weights[k]), **close)

@@ -3,6 +3,7 @@ them at their full trial counts."""
 
 import pytest
 
+from aoisim import checks
 from aoisim.checks import (
     CHECKS,
     check_distinct_timer_bound,
@@ -56,3 +57,13 @@ def test_checks_deterministic():
     a = check_drift_dominance(trials=200, seed=5)
     b = check_drift_dominance(trials=200, seed=5)
     assert a == b
+
+
+def test_block_checks_cover_every_state(monkeypatch):
+    whole = check_max_aoii_match(trials=300, alpha=20.0, seed=3)
+    monkeypatch.setattr(checks, "_BLOCK", 64)
+    assert checks._blocks(300) == [64, 64, 64, 64, 44]
+    # one draw per block, so the blocks concatenate to the same states
+    assert check_max_aoii_match(trials=300, alpha=20.0, seed=3) == whole
+    assert check_max_weight_match(trials=300).ok
+    assert check_drift_dominance(trials=300).ok

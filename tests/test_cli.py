@@ -128,6 +128,40 @@ def test_verify_command_rejects_flag_the_check_lacks(capsys):
     assert "does not take --trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["thm1", "lemma1", "lemma2", "thm4", "thm5"])
+def test_verify_command_rejects_zero_trials(check, capsys):
+    assert main(["verify", check, "--trials", "0"]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["lemma1", "thm3", "thm4"])
+def test_verify_command_rejects_zero_samples(check, capsys):
+    assert main(["verify", check, "--samples", "0"]) == 2
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_command_negative_seed_exits_2(capsys):
+    assert main(["verify", "lemma2", "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--seed", "-5",
+                 "--output", str(tmp_path / "out.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--replications"])
+def test_preset_zero_is_rejected_not_defaulted(flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["preset", "fig7_B_collisions", flag, "0",
+                 "--output", str(out)]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_command_failure_exits_1(monkeypatch, capsys):
     import aoisim.cli as cli_mod
 

@@ -13,7 +13,7 @@ from aoisim import (
 )
 from aoisim.core import AgeState
 from aoisim.engine import MarkovNetState, advance, frame_step
-from aoisim.policies import max_weight_decide
+from aoisim.policies import argmax_decide, exponents
 
 M = 10_000
 
@@ -49,7 +49,8 @@ def test_step_idealized_age_recursion():
 
 def test_step_idealized_max_weight_unique_argmax():
     ages = _ages([1, 2, 3])
-    j = max_weight_decide(ages.frame_age, np.ones(3), RngStream(5))
+    exponent = exponents("frame_age", ages.frame_age, np.ones(3), None)
+    j = argmax_decide(exponent, RngStream(5))
     assert j == 2
     advance(ages, None, j)
     assert ages.frame_age.tolist() == [2, 3, 1]

@@ -13,14 +13,17 @@ from aoisim import (
     scheduling_probabilities,
     stationary_randomized_probs,
 )
-from aoisim.core import aoi_log_rates, aoii_log_rates
+from aoisim.core import aoi_exponents
 from aoisim.engine import substreams
-from aoisim.policies import (
-    RULES,
-    contention_keys,
-    max_aoii_decide,
-    max_weight_decide,
-)
+from aoisim.policies import RULES, argmax_decide, contention_keys, exponents
+
+
+def _log_rates(frame_age, weights, alpha):
+    return aoi_exponents(frame_age, weights) * math.log(alpha)
+
+
+def _aoii(values):
+    return exponents("aoii", None, None, values)
 
 
 # ---------------------------------------------------------------------------
@@ -29,15 +32,17 @@ from aoisim.policies import (
 
 def test_max_weight_unique_argmax():
     s = RngStream(0)
-    assert max_weight_decide([2, 3, 5], np.ones(3), s) == 2
+    assert argmax_decide(exponents("frame_age", [2, 3, 5], np.ones(3), None),
+                         s) == 2
     # 1*9 > 2*4 by hand
-    assert max_weight_decide([3, 2], np.array([1.0, 2.0]), s) == 0
+    assert argmax_decide(aoi_exponents([3, 2], np.array([1.0, 2.0])), s) == 0
 
 
 def test_max_weight_tie_uniform():
     # 4*1 == 1*4: exact tie by construction
     s = RngStream(5)
-    picks = [max_weight_decide([1, 2], np.array([4.0, 1.0]), s) for _ in range(4000)]
+    exponent = aoi_exponents([1, 2], np.array([4.0, 1.0]))
+    picks = [argmax_decide(exponent, s) for _ in range(4000)]
     freq = picks.count(0) / len(picks)
     assert {0, 1} == set(picks)
     assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / len(picks))
@@ -45,13 +50,22 @@ def test_max_weight_tie_uniform():
 
 def test_max_aoii_decide():
     s = RngStream(6)
-    assert max_aoii_decide([0, 0, 4], s) == 2
-    picks = [max_aoii_decide([0, 0, 0], s) for _ in range(6000)]
+    assert argmax_decide(_aoii([0, 0, 4]), s) == 2
+    picks = [argmax_decide(_aoii([0, 0, 0]), s) for _ in range(6000)]
     for idx in (0, 1, 2):
         freq = picks.count(idx) / len(picks)
         assert abs(freq - 1 / 3) <= 3 * math.sqrt((1 / 3) * (2 / 3) / len(picks))
-    two_way = {max_aoii_decide([2, 5, 5], s) for _ in range(200)}
+    two_way = {argmax_decide(_aoii([2, 5, 5]), s) for _ in range(200)}
     assert two_way == {1, 2}
+
+
+def test_exponents_per_signal():
+    age, w = np.array([1, 2, 3]), np.array([1.0, 2.0, 0.5])
+    np.testing.assert_array_equal(exponents("frame_age", age, w, None),
+                                  [1.0, 8.0, 4.5])
+    aoii = exponents("aoii", age, w, np.array([0, 4, 1]))
+    assert aoii.dtype == float and aoii.tolist() == [0.0, 4.0, 1.0]
+    assert exponents(None, age, w, None) == 1.0
 
 
 def test_stationary_randomized_probs_anchors():
@@ -78,43 +92,32 @@ def test_stationary_randomized_probs_properties():
 
 def test_scheduling_probabilities_anchors():
     np.testing.assert_allclose(
-        scheduling_probabilities(5.0, frame_age=np.array([1, 1]),
-                                 weights=np.ones(2)),
+        scheduling_probabilities(5.0, aoi_exponents([1, 1], np.ones(2))),
         [0.5, 0.5])
     # rates [2, 16] by hand
     np.testing.assert_allclose(
-        scheduling_probabilities(2.0, frame_age=np.array([1, 2]),
-                                 weights=np.ones(2)),
+        scheduling_probabilities(2.0, aoi_exponents([1, 2], np.ones(2))),
         [2 / 18, 16 / 18])
     # rates [3, 3, 81] by hand
     np.testing.assert_allclose(
-        scheduling_probabilities(3.0, frame_age=np.array([1, 1, 2]),
-                                 weights=np.ones(3)),
+        scheduling_probabilities(3.0, aoi_exponents([1, 1, 2], np.ones(3))),
         [3 / 87, 3 / 87, 81 / 87])
 
 
 def test_scheduling_probabilities_sum_and_scale_invariance():
     aoii = np.array([0, 3, 7, 2])
-    p = scheduling_probabilities(2.0, aoii=aoii)
+    p = scheduling_probabilities(2.0, aoii)
     assert abs(p.sum() - 1.0) < 1e-12
     # adding a constant to every exponent rescales all rates by a common
     # factor; the distribution must not move
-    np.testing.assert_allclose(p, scheduling_probabilities(2.0, aoii=aoii + 50),
+    np.testing.assert_allclose(p, scheduling_probabilities(2.0, aoii + 50),
                                atol=1e-12)
 
 
 def test_scheduling_probabilities_extreme_exponents_stay_finite():
-    p = scheduling_probabilities(9.0, frame_age=np.array([1, 100]),
-                                 weights=np.array([5.0, 5.0]))
+    p = scheduling_probabilities(9.0, aoi_exponents([1, 100], [5.0, 5.0]))
     assert np.all(np.isfinite(p))
     assert p[1] == pytest.approx(1.0)
-
-
-def test_scheduling_probabilities_argument_validation():
-    with pytest.raises(ParameterError):
-        scheduling_probabilities(2.0)
-    with pytest.raises(ParameterError):
-        scheduling_probabilities(2.0, frame_age=np.array([1]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def _winner_frequencies(log_rate, params, n_trials, seed=101):
 
 def test_fresh_csma_symmetric_state_even_split():
     params = BackoffParams(alpha=3.0)
-    freq = _winner_frequencies(aoi_log_rates([1, 1], np.ones(2), 3.0),
+    freq = _winner_frequencies(_log_rates([1, 1], np.ones(2), 3.0),
                                params, 20_000)
     assert abs(freq[0] - 0.5) <= 3 * math.sqrt(0.25 / 20_000)
 
@@ -162,7 +165,7 @@ def test_fresh_csma_symmetric_state_even_split():
 def test_fresh_csma_win_probabilities_match_closed_form():
     # rates [2, 16]: win probs [2/18, 16/18]
     params = BackoffParams(alpha=2.0)
-    freq = _winner_frequencies(aoi_log_rates([1, 2], np.ones(2), 2.0),
+    freq = _winner_frequencies(_log_rates([1, 2], np.ones(2), 2.0),
                                params, 50_000)
     p = 16 / 18
     assert abs(freq[1] - p) <= 3 * math.sqrt(p * (1 - p) / 50_000)
@@ -171,7 +174,7 @@ def test_fresh_csma_win_probabilities_match_closed_form():
 def test_fresh_csma_aoii_mode_win_probability():
     # rates [1, 1, 8]: source 3 wins with probability 8/10
     params = BackoffParams(alpha=2.0)
-    freq = _winner_frequencies(aoii_log_rates([0, 0, 3], 2.0), params, 50_000)
+    freq = _winner_frequencies(_aoii([0, 0, 3]) * math.log(2.0), params, 50_000)
     assert abs(freq[2] - 0.8) <= 3 * math.sqrt(0.8 * 0.2 / 50_000)
 
 
@@ -186,7 +189,7 @@ def test_fresh_csma_aoii_mode_requires_vector():
 def test_fresh_csma_near_realistic_returns_minislots():
     params = BackoffParams(alpha=1.5, beta=1.2, b_offset=50)
     keys = contention_keys(_log_e(3, 1, 8)[0],
-                           aoi_log_rates([1, 2, 3], np.ones(3), 1.5),
+                           _log_rates([1, 2, 3], np.ones(3), 1.5),
                            params, discrete=True)
     assert keys.dtype == np.int64
     assert np.all(keys >= 0)
@@ -196,7 +199,7 @@ def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
     # rate alpha**1600: the linear timer rounds to zero, the log key cannot
     params = BackoffParams(alpha=2.0)
     log_e = _log_e(2, 1, 9)[0]
-    log_rate = aoi_log_rates([1, 40], np.ones(2), 2.0)
+    log_rate = _log_rates([1, 40], np.ones(2), 2.0)
     keys = contention_keys(log_e, log_rate, params, discrete=False)
     assert params.delta_scale * math.exp(log_e[1] - log_rate[1]) == 0.0
     assert np.all(np.isfinite(keys))
@@ -205,7 +208,7 @@ def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
 
 def test_fresh_csma_timers_deterministic():
     params = BackoffParams(alpha=1.5)
-    log_rate = aoi_log_rates([2, 5], np.ones(2), 1.5)
+    log_rate = _log_rates([2, 5], np.ones(2), 1.5)
     a = contention_keys(_log_e(2, 5, 10), log_rate, params, discrete=False)
     b = contention_keys(_log_e(2, 5, 10), log_rate, params, discrete=False)
     np.testing.assert_array_equal(a, b)
@@ -213,7 +216,7 @@ def test_fresh_csma_timers_deterministic():
 
 def test_idealized_delta_scale_never_changes_winner():
     log_e = _log_e(3, 100, 11)
-    log_rate = aoi_log_rates([2, 3, 4], np.ones(3), 1.3)
+    log_rate = _log_rates([2, 3, 4], np.ones(3), 1.3)
     small = contention_keys(log_e, log_rate,
                             BackoffParams(alpha=1.3, delta_scale=0.001),
                             discrete=False)
@@ -244,13 +247,14 @@ def test_policy_requires_params_for_csma_kinds():
 
 
 def test_policy_kind_declarations():
-    assert RULES[PolicyKind.MAX_WEIGHT] == ("max_weight", "frame_age", False)
+    assert RULES[PolicyKind.MAX_WEIGHT] == ("argmax", "frame_age", False)
+    assert RULES[PolicyKind.STATIONARY_RANDOMIZED].decide == "randomized"
     assert RULES[PolicyKind.STATIONARY_RANDOMIZED].signal is None
     assert RULES[PolicyKind.IDEALIZED_CSMA] == ("contention", None, False)
     assert not RULES[PolicyKind.IDEALIZED_FRESH_CSMA].discrete
     assert RULES[PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII].discrete
     assert RULES[PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII].signal == "aoii"
-    assert RULES[PolicyKind.MAX_AOII].decide == "max_aoii"
+    assert RULES[PolicyKind.MAX_AOII] == ("argmax", "aoii", False)
 
 
 def test_policy_same_stream_reproduces():
