@@ -63,14 +63,18 @@ class RngStream:
         self._pos += 1
         return float(u)
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Bulk Uniform[0, 1) draws, bypassing the scalar cache.
+    def uniforms(self, size: "int | tuple[int, ...]") -> np.ndarray:
+        """Bulk Uniform[0, 1) draws of a size or shape, bypassing the
+        scalar cache.
 
-        Deterministic for a fixed call sequence, like every draw here,
-        but interleaving scalar and bulk draws maps onto the underlying
-        generator differently than scalar draws alone would.
+        The draws fill the shape in row-major order and continue the same
+        sequence across calls, so uniforms((k, n)) holds in its rows what
+        k calls of uniforms(n) would return.  Deterministic for a fixed
+        call sequence, like every draw here, but interleaving scalar and
+        bulk draws maps onto the underlying generator differently than
+        scalar draws alone would.
         """
-        return self._gen.random(n)
+        return self._gen.random(size)
 
     def unit_exponentials(self, n: int) -> np.ndarray:
         """Bulk inverse-CDF draws from exp(1); strictly positive.
@@ -96,7 +100,7 @@ class RngStream:
         while not u.all():
             u = u[u != 0.0]
             u = np.concatenate([u, self._gen.random(n - len(u))])
-        return -np.array(list(map(math.log1p, (-u).tolist())))
+        return -np.fromiter(map(math.log1p, (-u).tolist()), float, n)
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -201,24 +205,30 @@ class BackoffParams:
 
 @dataclass
 class AgeState:
-    """Per-source ages.
+    """Per-source ages and their running sums over the frames so far.
 
     frame_age counts whole frames since the last delivered update and is
     what the scheduling rules consume (always >= 1: a delivery resets to
-    1, never 0).  clock_age measures wall-clock time units and is only
-    advanced by the minislot-level model, where frames have variable
-    duration.
+    1, never 0); it is a float array holding exact integers, so the rules
+    read it without conversion.  clock_age measures wall-clock time
+    units and is only advanced by the minislot-level model, where frames
+    have variable duration.  frame_age_sum adds up the ages entering each
+    frame, clock_age_integral the clock ages at each frame start times
+    the frame's duration.
     """
 
     frame_age: np.ndarray
     clock_age: np.ndarray
+    frame_age_sum: np.ndarray
+    clock_age_integral: np.ndarray
 
     @classmethod
     def initial(cls, n_sources: int) -> "AgeState":
         # All sources start one frame-equivalent old, so runs are
         # comparable across policies.
-        return cls(frame_age=np.ones(n_sources, dtype=np.int64),
-                   clock_age=np.ones(n_sources, dtype=float))
+        return cls(frame_age=np.ones(n_sources), clock_age=np.ones(n_sources),
+                   frame_age_sum=np.zeros(n_sources),
+                   clock_age_integral=np.zeros(n_sources))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .core import (
     ParameterError,
     RngStream,
     aoi_exponents,
-    discretize_log_timers,
 )
 
 
@@ -88,10 +87,12 @@ def argmax_decide(exponent: np.ndarray, stream: RngStream) -> int:
     On mismatch ages this is max-AoII, a hypothetical oracle baseline:
     it needs the true source states, so no base station could run it.
     """
-    top = np.flatnonzero(exponent == exponent.max())
-    if len(top) == 1:
-        return int(top[0])
-    return int(top[stream.integer(len(top))])
+    j = int(exponent.argmax())
+    top = exponent == exponent[j]
+    ties = np.count_nonzero(top)
+    if ties == 1:
+        return j
+    return int(np.flatnonzero(top)[stream.integer(ties)])
 
 
 def stationary_randomized_probs(weights: Sequence[float]) -> np.ndarray:
@@ -102,12 +103,6 @@ def stationary_randomized_probs(weights: Sequence[float]) -> np.ndarray:
         raise ParameterError("weights must be a non-empty positive vector")
     s = np.sqrt(w)
     return s / s.sum(axis=-1, keepdims=True)
-
-
-def sample_from_probs(probs: np.ndarray, stream: RngStream) -> int:
-    cdf = np.cumsum(probs)
-    return int(min(np.searchsorted(cdf, stream.uniform(), side="right"),
-                   len(probs) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +116,14 @@ def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
     Source i's timer is Z_i = E_i / rate_i for a unit exponential E_i,
     formed in log domain as ln Z_i = ln E_i - log_rate_i so that rates
     beyond float range still compare correctly.  The idealized model
-    compares ln(delta * Z_i); the near-realistic model compares minislots
-    max(B + floor(log_beta Z_i), 0), which can tie.
+    compares ln(delta * Z_i), and equal keys tie.  The near-realistic
+    model's key is log_beta Z_i = ln Z_i / ln(beta); the timer lands in
+    minislot max(B + floor(key), 0) (discretize_log_timers), and keys in
+    the same minislot tie (see engine.resolve).
     """
     log_z = log_e - log_rate
     if discrete:
-        return discretize_log_timers(log_z, params)
+        return log_z / params.ln_beta
     return math.log(params.delta_scale) + log_z
 
 

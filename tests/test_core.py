@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoisim import (
     BackoffParams,
@@ -49,6 +50,19 @@ def test_stream_reproducible_across_instances():
     seq_b = ([b.uniform() for _ in range(10)] + list(b.uniforms(5))
              + list(b.exponential_sequence(3)))
     assert seq_a == seq_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 40), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_uniforms_shape_rows_equal_successive_calls(k, n, seed):
+    block_stream, row_stream = RngStream(seed, (2,)), RngStream(seed, (2,))
+    block = block_stream.uniforms((k, n))
+    rows = np.array([row_stream.uniforms(n) for _ in range(k)])
+    assert block.shape == (k, n)
+    np.testing.assert_array_equal(block, rows)
+    # and both streams continue from the same place
+    np.testing.assert_array_equal(block_stream.uniforms(3),
+                                  row_stream.uniforms(3))
 
 
 def test_stream_children_are_independent_of_parent_position():
@@ -267,13 +281,16 @@ def test_frame_outcome_consistency():
     # a frame collides exactly when two or more keys share the minimum,
     # and otherwise delivers the unique minimum
     rng = np.random.default_rng(4)
+    grid = BackoffParams(alpha=2.0, b_offset=0)
     for _ in range(300):
-        key = rng.integers(0, 3, 4)
+        slots = rng.integers(0, 3, 4)
         ages = AgeState.initial(4)
-        j, collided, _ = frame_step(ages, None, key, 10_000)
-        winners = np.flatnonzero(key == key.min())
-        assert j == winners[0]
-        assert collided == (len(winners) >= 2)
+        delivered, tied, slot, _ = frame_step(ages, None, slots + 0.5, grid)
+        winners = np.flatnonzero(slots == slots.min())
+        assert tied.tolist() == (slots == slots.min()).tolist()
+        assert slot == slots.min()
+        collided = len(winners) >= 2
+        assert delivered == (None if collided else winners[0])
         assert (ages.frame_age == 1).sum() == (0 if collided else 1)
 
 

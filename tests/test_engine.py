@@ -1,7 +1,9 @@
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoisim import (
     BackoffParams,
@@ -11,16 +13,20 @@ from aoisim import (
     RngStream,
     run,
 )
-from aoisim.core import AgeState
-from aoisim.engine import MarkovNetState, advance, frame_step
-from aoisim.policies import argmax_decide, exponents
+from aoisim.core import AgeState, discretize_log_timers
+from aoisim.engine import MarkovNetState, advance, frame_step, resolve
+from aoisim.policies import argmax_decide, contention_keys, exponents
 
 M = 10_000
+# B = 0: a near-realistic key k lands in minislot max(floor(k), 0)
+GRID = BackoffParams(alpha=2.0, b_offset=0, minislots_per_update=M)
 
 
 def _ages(frame_age):
-    frame_age = np.asarray(frame_age, dtype=np.int64)
-    return AgeState(frame_age=frame_age, clock_age=frame_age.astype(float))
+    ages = AgeState.initial(len(frame_age))
+    ages.frame_age[:] = frame_age
+    ages.clock_age[:] = frame_age
+    return ages
 
 
 def _wins(n, j):
@@ -31,7 +37,8 @@ def _wins(n, j):
 
 
 def _slots(values):
-    return np.asarray(values, dtype=np.int64)
+    """Near-realistic keys that land in these minislots of GRID."""
+    return np.asarray(values, dtype=float) + 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +47,11 @@ def _slots(values):
 
 def test_step_idealized_age_recursion():
     ages = _ages([4, 7])
-    j, collided, duration = frame_step(ages, None, _wins(2, 1))
+    delivered, tied, slot, duration = frame_step(ages, None, _wins(2, 1))
     assert ages.frame_age.tolist() == [5, 1]
-    assert j == 1 and not collided
-    assert duration is None  # a unit frame; clock ages are not tracked
+    assert delivered == 1 and tied.tolist() == [False, True]
+    # a unit frame; clock ages are not tracked
+    assert slot is None and duration is None
     assert ages.clock_age.tolist() == [4.0, 7.0]
 
 
@@ -65,16 +73,19 @@ def test_step_idealized_rejects_minislot_policy():
 
 def test_step_idealized_float_tie_collides():
     ages = _ages([2, 2])
-    j, collided, duration = frame_step(ages, None, np.array([-3.5, -3.5]))
-    assert (j, collided, duration) == (0, True, None)
+    delivered, tied, slot, duration = frame_step(ages, None,
+                                                 np.array([-3.5, -3.5]))
+    assert (delivered, slot, duration) == (None, None, None)
+    assert tied.tolist() == [True, True]
     assert ages.frame_age.tolist() == [3, 3]
 
 
 def test_step_near_realistic_collision_and_duration():
     ages = _ages([2, 2, 2])
-    j, collided, duration = frame_step(ages, None, _slots([3, 7, 3]), M)
-    assert j == 0 and collided
-    assert duration == pytest.approx(1 + 3 / 10_000)
+    delivered, tied, slot, duration = frame_step(ages, None, _slots([3, 7, 3]),
+                                                 GRID)
+    assert delivered is None and tied.tolist() == [True, False, True]
+    assert slot == 3 and duration == pytest.approx(1 + 3 / 10_000)
     # collision: every age grows, nothing resets
     assert ages.frame_age.tolist() == [3, 3, 3]
     assert ages.clock_age.tolist() == pytest.approx([2 + duration] * 3)
@@ -82,17 +93,18 @@ def test_step_near_realistic_collision_and_duration():
 
 def test_step_near_realistic_zero_timer_delivers_immediately():
     ages = _ages([1, 1])
-    j, collided, duration = frame_step(ages, None, _slots([0, 5]), M)
-    assert j == 0 and not collided
+    delivered, _, slot, duration = frame_step(ages, None, _slots([0, 5]), GRID)
+    assert delivered == 0 and slot == 0
     assert duration == 1.0
     assert ages.clock_age[0] == pytest.approx(1.0)
 
 
 def test_step_near_realistic_overhead_and_clock_ages():
     ages = _ages([4, 9])
-    j, collided, duration = frame_step(ages, None, _slots([250, 260]), M)
-    assert duration == pytest.approx(1.025)
-    assert j == 0 and not collided
+    delivered, _, slot, duration = frame_step(ages, None, _slots([250, 260]),
+                                              GRID)
+    assert slot == 250 and duration == pytest.approx(1.025)
+    assert delivered == 0
     # winner's information is one frame-duration old; loser aged by it
     assert ages.clock_age.tolist() == pytest.approx([1.025, 9 + 1.025])
     assert ages.frame_age.tolist() == [1, 10]
@@ -105,16 +117,38 @@ def test_step_near_realistic_rejects_continuous_policy():
         run(config, PolicyKind.IDEALIZED_FRESH_CSMA)
 
 
+# Ln-timers in grid units above the slot-0 edge -B ln(beta): a few slots on
+# either side of it, so slot 0 saturates and nearby minislots often tie,
+# plus slot boundaries, timers far below the edge, and -inf.
+_GRID_UNITS = st.one_of(st.floats(-12.0, 4.0), st.integers(-12, 4).map(float),
+                        st.floats(-1e300, -1e3), st.just(-math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(units=st.lists(_GRID_UNITS, min_size=1, max_size=10),
+       beta=st.floats(1.001, 5.0), b_offset=st.sampled_from([0, 1, 3, 8, 250]))
+def test_resolve_from_minimum_equals_discretized_keys(units, beta, b_offset):
+    # resolving from the smallest key gives the winner, minislot and ties
+    # of discretizing every timer, then argmin and a tie count
+    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
+    log_z = np.array(units) * params.ln_beta - b_offset * params.ln_beta
+    slots = discretize_log_timers(log_z, params)
+    j = int(slots.argmin())
+    ties = slots == slots[j]
+    delivered, tied, slot = resolve(
+        contention_keys(log_z, 0.0, params, discrete=True), params)
+    assert slot == slots[j]
+    assert tied.tolist() == ties.tolist()
+    assert delivered == (j if np.count_nonzero(ties) == 1 else None)
+
+
 # ---------------------------------------------------------------------------
 # Markov frames
 # ---------------------------------------------------------------------------
 
-def _markov(x_true, x_est, aoii):
-    return MarkovNetState(q=np.zeros(len(x_true)),
-                          x_true=np.array(x_true, dtype=np.int8),
-                          x_est=np.array(x_est, dtype=np.int8),
-                          aoii=np.array(aoii, dtype=np.int64),
-                          stream=RngStream(3))
+def _markov(x_true, x_est, aoii, q=0.0):
+    return MarkovNetState(q=np.full(len(x_true), q), x_true=x_true,
+                          x_est=x_est, aoii=aoii, stream=RngStream(3))
 
 
 def test_step_markov_matched_stays_zero():
@@ -139,15 +173,14 @@ def test_step_markov_sustained_mismatch_increments():
 
 def test_step_markov_collision_refreshes_nothing():
     markov = _markov([1, 1], [0, 0], [2, 4])
-    frame_step(_ages([3, 3]), markov, _slots([6, 6]), M)
+    frame_step(_ages([3, 3]), markov, _slots([6, 6]), GRID)
     assert markov.x_est.tolist() == [0, 0]
     assert markov.aoii.tolist() == [3, 5]
 
 
 def test_step_markov_spontaneous_match_resets():
     # q = 1 flips the mismatched source back onto the estimate
-    markov = _markov([1, 0], [0, 0], [5, 0])
-    markov.q = np.array([1.0, 0.0])
+    markov = _markov([1, 0], [0, 0], [5, 0], q=np.array([1.0, 0.0]))
     frame_step(_ages([2, 2]), markov, _wins(2, 1))
     assert markov.x_true.tolist() == [0, 0]
     assert markov.aoii.tolist() == [0, 0]
@@ -155,8 +188,7 @@ def test_step_markov_spontaneous_match_resets():
 
 def test_step_markov_winner_delivers_post_flip_state():
     # the flip happens before the winner's update is generated
-    markov = _markov([0, 0], [0, 0], [0, 0])
-    markov.q = np.array([1.0, 1.0])
+    markov = _markov([0, 0], [0, 0], [0, 0], q=1.0)
     frame_step(_ages([2, 2]), markov, _wins(2, 0))
     assert markov.x_true.tolist() == [1, 1]
     assert markov.x_est.tolist() == [1, 0]
@@ -170,6 +202,23 @@ def test_step_markov_frame_age_tracked_alongside():
     assert ages.frame_age.tolist() == [5, 1]
 
 
+@settings(max_examples=25, deadline=None)
+@given(q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+       frames=st.integers(1, 2600), seed=st.integers(0, 2**32 - 1),
+       start=st.integers(0, 31))
+def test_markov_trajectory_equals_per_frame_flips(q, frames, seed, start):
+    # the block trajectory (XOR-accumulated flips, carried across blocks)
+    # is what one uniforms(n) flip draw per frame gives
+    n = len(q)
+    x = np.array([(start >> i) & 1 for i in range(n)], dtype=bool)
+    markov = MarkovNetState(q=np.array(q), x_true=x.copy(), x_est=x,
+                            aoii=np.zeros(n), stream=RngStream(seed, (0,)))
+    reference = RngStream(seed, (0,))
+    for _ in range(frames):
+        x ^= reference.uniforms(n) < q
+        assert next(markov.trajectory).tolist() == x.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Conservation and accounting invariants
 # ---------------------------------------------------------------------------
@@ -181,11 +230,11 @@ def test_idealized_age_conservation_per_frame():
     outcomes = set()
     for _ in range(200):
         before = ages.frame_age.copy()
-        j, collided, _ = frame_step(ages, None, rng.integers(0, 4, 5), M)
+        j, *_ = frame_step(ages, None, _slots(rng.integers(0, 4, 5)), GRID)
         delta = int(ages.frame_age.sum() - before.sum())
-        assert delta == (5 if collided else 5 - before[j])
+        assert delta == (5 if j is None else 5 - before[j])
         assert ages.frame_age.min() >= 1
-        outcomes.add(collided)
+        outcomes.add(j is None)
     assert outcomes == {True, False}
 
 
@@ -249,6 +298,25 @@ def test_run_rejects_aoii_policy_without_markov():
     params = BackoffParams(alpha=2.1)
     with pytest.raises(ParameterError):
         run(config, PolicyKind.IDEALIZED_FRESH_CSMA_AOII, params)
+
+
+def test_run_rejects_nan_markov_q():
+    config = NetworkConfig(3, tuple([1.0] * 3), 100, 2)
+    with pytest.raises(ParameterError):
+        run(config, PolicyKind.MAX_AOII, markov_q=float("nan"))
+
+
+def test_run_rejects_markov_q_of_wrong_length():
+    config = NetworkConfig(3, tuple([1.0] * 3), 100, 2)
+    with pytest.raises(ParameterError):
+        run(config, PolicyKind.MAX_AOII, markov_q=[0.1, 0.2])
+
+
+def test_run_max_frames_needs_deliveries_horizon():
+    # a frames horizon is its own cap; max_frames would be ignored
+    config = NetworkConfig(3, tuple([1.0] * 3), 200, 2)
+    with pytest.raises(ParameterError):
+        run(config, PolicyKind.MAX_WEIGHT, max_frames=10)
 
 
 def test_run_bad_horizon_unit():

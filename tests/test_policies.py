@@ -13,8 +13,8 @@ from aoisim import (
     scheduling_probabilities,
     stationary_randomized_probs,
 )
-from aoisim.core import aoi_exponents
-from aoisim.engine import substreams
+from aoisim.core import aoi_exponents, discretize_log_timers
+from aoisim.engine import resolve, substreams
 from aoisim.policies import RULES, argmax_decide, contention_keys, exponents
 
 
@@ -187,12 +187,16 @@ def test_fresh_csma_aoii_mode_requires_vector():
 
 
 def test_fresh_csma_near_realistic_returns_minislots():
+    # the keys are log_beta(Z); their minislots max(B + floor(key), 0) are
+    # the grid's, and the frame resolves to the smallest of them
     params = BackoffParams(alpha=1.5, beta=1.2, b_offset=50)
-    keys = contention_keys(_log_e(3, 1, 8)[0],
-                           _log_rates([1, 2, 3], np.ones(3), 1.5),
-                           params, discrete=True)
-    assert keys.dtype == np.int64
-    assert np.all(keys >= 0)
+    log_e = _log_e(3, 1, 8)[0]
+    log_rate = _log_rates([1, 2, 3], np.ones(3), 1.5)
+    keys = contention_keys(log_e, log_rate, params, discrete=True)
+    slots = discretize_log_timers(log_e - log_rate, params)
+    np.testing.assert_array_equal(np.maximum(50 + np.floor(keys), 0), slots)
+    assert np.all(slots >= 0)
+    assert resolve(keys, params)[2] == slots.min()
 
 
 def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
