@@ -141,8 +141,9 @@ class NetworkConfig:
         if len(self.weights) != self.n_sources:
             raise ParameterError(
                 f"need {self.n_sources} weights, got {len(self.weights)}")
-        if any(not (w > 0) for w in self.weights):
-            raise ParameterError(f"weights must be positive, got {self.weights}")
+        if any(not 0 < w < math.inf for w in self.weights):
+            raise ParameterError(
+                f"weights must be positive and finite, got {self.weights}")
         if self.horizon_frames < 1:
             raise ParameterError(f"horizon_frames must be >= 1, got {self.horizon_frames}")
         if not 0 <= self.seed <= _SEED_MASK:
@@ -197,38 +198,6 @@ class BackoffParams:
     @property
     def ln_beta(self) -> float:
         return math.log(self.beta)
-
-
-# ---------------------------------------------------------------------------
-# Dynamic state
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AgeState:
-    """Per-source ages and their running sums over the frames so far.
-
-    frame_age counts whole frames since the last delivered update and is
-    what the scheduling rules consume (always >= 1: a delivery resets to
-    1, never 0); it is a float array holding exact integers, so the rules
-    read it without conversion.  clock_age measures wall-clock time
-    units and is only advanced by the minislot-level model, where frames
-    have variable duration.  frame_age_sum adds up the ages entering each
-    frame, clock_age_integral the clock ages at each frame start times
-    the frame's duration.
-    """
-
-    frame_age: np.ndarray
-    clock_age: np.ndarray
-    frame_age_sum: np.ndarray
-    clock_age_integral: np.ndarray
-
-    @classmethod
-    def initial(cls, n_sources: int) -> "AgeState":
-        # All sources start one frame-equivalent old, so runs are
-        # comparable across policies.
-        return cls(frame_age=np.ones(n_sources), clock_age=np.ones(n_sources),
-                   frame_age_sum=np.zeros(n_sources),
-                   clock_age_integral=np.zeros(n_sources))
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,8 @@ def stationary_randomized_probs(weights: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
-                    params: BackoffParams, discrete: bool) -> np.ndarray:
+                    params: BackoffParams, discrete: bool,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Comparison keys of one contention; the smallest key wins.
 
     Source i's timer is Z_i = E_i / rate_i for a unit exponential E_i,
@@ -119,12 +120,13 @@ def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
     compares ln(delta * Z_i), and equal keys tie.  The near-realistic
     model's key is log_beta Z_i = ln Z_i / ln(beta); the timer lands in
     minislot max(B + floor(key), 0) (discretize_log_timers), and keys in
-    the same minislot tie (see engine.resolve).
+    the same minislot tie (see engine._resolve).  out, if given,
+    receives the keys.
     """
-    log_z = log_e - log_rate
+    log_z = np.subtract(log_e, log_rate, out=out)
     if discrete:
-        return log_z / params.ln_beta
-    return math.log(params.delta_scale) + log_z
+        return np.divide(log_z, params.ln_beta, out=out)
+    return np.add(math.log(params.delta_scale), log_z, out=out)
 
 
 def scheduling_probabilities(alpha: "float | np.ndarray",

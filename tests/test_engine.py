@@ -13,9 +13,11 @@ from aoisim import (
     RngStream,
     run,
 )
-from aoisim.core import AgeState, discretize_log_timers
-from aoisim.engine import MarkovNetState, advance, frame_step, resolve
+from aoisim.core import discretize_log_timers
+from aoisim.engine import _BLOCK, _FRAMES, _resolve, _trajectory
 from aoisim.policies import argmax_decide, contention_keys, exponents
+import reference
+from reference import AgeState, MarkovNetState, advance, frame_step, resolve
 
 M = 10_000
 # B = 0: a near-realistic key k lands in minislot max(floor(k), 0)
@@ -142,6 +144,22 @@ def test_resolve_from_minimum_equals_discretized_keys(units, beta, b_offset):
     assert delivered == (j if np.count_nonzero(ties) == 1 else None)
 
 
+@settings(max_examples=300, deadline=None)
+@given(units=st.lists(st.one_of(_GRID_UNITS, st.sampled_from([-2.0, 0.5])),
+                      min_size=1, max_size=10),
+       beta=st.floats(1.001, 5.0), b_offset=st.sampled_from([0, 1, 3, 8, 250]),
+       discrete=st.booleans())
+def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset, discrete):
+    # the kernel decides a collision from the minimum and the runner-up
+    # alone; that is the mask of tied sources having two or more members
+    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
+    key = np.array(units)
+    delivered, slot = _resolve(key, b_offset if discrete else None)
+    expected, tied, expected_slot = resolve(key, params if discrete else None)
+    assert (delivered, slot) == (expected, expected_slot)
+    assert key.tolist() == units  # the row is left as it was
+
+
 # ---------------------------------------------------------------------------
 # Markov frames
 # ---------------------------------------------------------------------------
@@ -211,12 +229,13 @@ def test_markov_trajectory_equals_per_frame_flips(q, frames, seed, start):
     # is what one uniforms(n) flip draw per frame gives
     n = len(q)
     x = np.array([(start >> i) & 1 for i in range(n)], dtype=bool)
-    markov = MarkovNetState(q=np.array(q), x_true=x.copy(), x_est=x,
-                            aoii=np.zeros(n), stream=RngStream(seed, (0,)))
-    reference = RngStream(seed, (0,))
-    for _ in range(frames):
-        x ^= reference.uniforms(n) < q
-        assert next(markov.trajectory).tolist() == x.tolist()
+    blocks = _trajectory(np.array(q), x, RngStream(seed, (0,)))
+    per_frame = RngStream(seed, (0,))
+    for t in range(frames):
+        if t % _BLOCK == 0:
+            block = next(blocks)
+        x ^= per_frame.uniforms(n) < q
+        assert block[t % _BLOCK].tolist() == x.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +338,15 @@ def test_run_max_frames_needs_deliveries_horizon():
         run(config, PolicyKind.MAX_WEIGHT, max_frames=10)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_run_rejects_nonpositive_max_frames(cap):
+    # a cap below one frame is a usage error, not a non-delivering run
+    config = NetworkConfig(3, tuple([1.0] * 3), 200, 2)
+    with pytest.raises(ParameterError):
+        run(config, PolicyKind.MAX_WEIGHT, horizon_unit="deliveries",
+            max_frames=cap)
+
+
 def test_run_bad_horizon_unit():
     config = NetworkConfig(1, (1.0,), 10, 2)
     with pytest.raises(ParameterError):
@@ -350,3 +378,67 @@ def test_near_realistic_reported_average_uses_clock_ages(run_fresh_near_realisti
     # slightly above the frame-count means
     assert clock_mean > frame_mean
     assert clock_mean == pytest.approx(frame_mean, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# The block kernel against the reference frame loop
+# ---------------------------------------------------------------------------
+
+_KINDS = list(PolicyKind)
+_AOII_KINDS = {PolicyKind.MAX_AOII, PolicyKind.IDEALIZED_FRESH_CSMA_AOII,
+               PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII}
+
+
+@st.composite
+def _runs(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    n = draw(st.integers(1, 40))
+    weights = draw(st.one_of(
+        st.just((1.0,) * n),
+        st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n).map(tuple)))
+    # hypothesis favours the first of each choice, so delivering regimes
+    # and moving sources come first; beta = 1.01 with B = 0 saturates
+    # minislot 0 and q = 0 never moves a source
+    params = None
+    if "csma" in kind.value:
+        params = BackoffParams(
+            alpha=draw(st.sampled_from([2.1, 1.5, 1.05, 9.0])),
+            beta=draw(st.sampled_from([1.1, 1.3, 1.01])),
+            b_offset=draw(st.sampled_from([5, 250, 0])),
+            delta_scale=draw(st.sampled_from([0.01, 1.0])))
+    q_choices = [st.lists(st.sampled_from([0.05, 0.5, 1.0, 0.0]),
+                          min_size=n, max_size=n),
+                 st.just(0.0), st.just(1.0)]
+    if kind not in _AOII_KINDS:
+        q_choices.append(st.none())
+    markov_q = draw(st.one_of(*q_choices))
+    # frame counts on either side of a kernel block and of a draw block
+    horizon = draw(st.sampled_from([_FRAMES - 1, _FRAMES, _FRAMES + 1,
+                                    1023, 1024, 1025]))
+    unit = draw(st.sampled_from(["frames", "deliveries"]))
+    config = NetworkConfig(n, weights, horizon, draw(st.integers(0, 2**32 - 1)))
+    kwargs = dict(prefix=draw(st.sampled_from([(), (1,)])), markov_q=markov_q,
+                  horizon_unit=unit)
+    if unit == "deliveries":
+        kwargs["max_frames"] = 2 * horizon
+    return config, kind, params, kwargs
+
+
+def _outcome(run_fn, config, kind, params, kwargs, traced):
+    buf = io.StringIO() if traced else None
+    try:
+        result = run_fn(config, kind, params, trace=buf, **kwargs)
+    except RuntimeError:
+        result = "frame cap"
+    return result, buf.getvalue() if traced else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_runs())
+def test_run_equals_reference_frame_loop(case):
+    # field-equal results and byte-equal traces, traced or not
+    expected, expected_trace = _outcome(reference.run, *case, traced=True)
+    result, trace = _outcome(run, *case, traced=True)
+    assert result == expected
+    assert trace == expected_trace
+    assert _outcome(run, *case, traced=False)[0] == expected

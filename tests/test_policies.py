@@ -14,7 +14,7 @@ from aoisim import (
     stationary_randomized_probs,
 )
 from aoisim.core import aoi_exponents, discretize_log_timers
-from aoisim.engine import resolve, substreams
+from aoisim.engine import _resolve, substreams
 from aoisim.policies import RULES, argmax_decide, contention_keys, exponents
 
 
@@ -196,7 +196,7 @@ def test_fresh_csma_near_realistic_returns_minislots():
     slots = discretize_log_timers(log_e - log_rate, params)
     np.testing.assert_array_equal(np.maximum(50 + np.floor(keys), 0), slots)
     assert np.all(slots >= 0)
-    assert resolve(keys, params)[2] == slots.min()
+    assert _resolve(keys, params.b_offset)[1] == slots.min()
 
 
 def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
