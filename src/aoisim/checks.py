@@ -22,6 +22,7 @@ from .analysis import (
     timer_separation_term,
 )
 from .core import (
+    DEFAULT_SEED,
     BackoffParams,
     ParameterError,
     RngStream,
@@ -32,7 +33,6 @@ from .core import (
 )
 from .policies import scheduling_probabilities
 
-DEFAULT_SEED = 20260808
 # Random states drawn and evaluated per block, so memory stays bounded
 # at any trial count; the default counts fit in one block.
 _BLOCK = 1 << 14

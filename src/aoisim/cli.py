@@ -17,11 +17,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .checks import CHECKS, DEFAULT_SEED
-from .core import ParameterError
+from .checks import CHECKS
+from .core import DEFAULT_SEED, ParameterError
 from .experiments import (
     ConfigError,
     PRESET_NAMES,
+    SWEEPABLE,
     ExperimentSpec,
     parse_config,
     preset,
@@ -38,6 +39,17 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _comma_list(item, noun: str):
+    """An argparse type for a comma list of `item` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(item(v) for v in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {noun}, got {text!r}") from None
+    return parse
+
+
 def _output_path(spec: ExperimentSpec, override: str | None) -> Path:
     if override:
         return Path(override)
@@ -47,25 +59,21 @@ def _output_path(spec: ExperimentSpec, override: str | None) -> Path:
     return base / f"{spec.scenario}.csv"
 
 
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["base_seed"] = args.seed
-    if getattr(args, "horizon", None) is not None:
-        updates["horizon"] = args.horizon
-    if getattr(args, "replications", None) is not None:
-        updates["replications"] = args.replications
-    return replace(spec, **updates) if updates else spec
+def _load_config(args) -> ExperimentSpec:
+    """The --config spec with --seed, --horizon and --replications applied."""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config: {exc}") from None
+    overrides = {"base_seed": args.seed, "horizon": args.horizon,
+                 "replications": args.replications}
+    return replace(parse_config(text),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(spec: ExperimentSpec, output: str | None) -> int:
     rows = run_experiment(spec)
-    path = _output_path(spec, output)
-    try:
-        write_csv(rows, path)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    path = write_csv(rows, _output_path(spec, output))
     print(f"{spec.scenario}: wrote {len(rows)} rows to {path}")
     return EXIT_OK
 
@@ -80,55 +88,29 @@ def _write_trace(spec: ExperimentSpec, trace_path: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        spec = _apply_overrides(spec, args)
-        if args.trace:
-            _write_trace(spec, args.trace)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_config(args)
+    if args.trace:
+        _write_trace(spec, args.trace)
     return _emit(spec, args.output)
 
 
 def cmd_preset(args) -> int:
-    try:
-        n_values = None
-        if args.n_values:
-            n_values = [int(v) for v in args.n_values.split(",")]
-        spec = preset(args.name, seed=args.seed,
-                      horizon=args.horizon,
-                      replications=args.replications,
-                      n_values=n_values,
-                      log_base=math.e if args.natural_log else 10.0)
-    except (ConfigError, ParameterError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = preset(args.name, seed=args.seed, horizon=args.horizon,
+                  replications=args.replications, n_values=args.n_values,
+                  log_base=args.log_base)
     return _emit(spec, args.output)
 
 
 def cmd_sweep(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
-        spec = parse_config(text) if text else None
-        values = tuple(float(v) for v in args.values.split(","))
-        if spec is None:
-            raise ConfigError("sweep needs --config with the base settings")
-        spec = replace(spec, sweep_param=args.param, sweep_values=values,
-                       scenario=f"{spec.scenario}_sweep_{args.param}")
-        spec = _apply_overrides(spec, args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, ParameterError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _load_config(args)
+    spec = replace(spec, sweep_param=args.param, sweep_values=args.values,
+                   scenario=f"{spec.scenario}_sweep_{args.param}")
     return _emit(spec, args.output)
 
 
 def cmd_verify(args) -> int:
     check = CHECKS[args.check]
-    kwargs = {"seed": args.seed if args.seed is not None else DEFAULT_SEED}
+    kwargs = {"seed": args.seed}
     accepted = inspect.signature(check).parameters
     for name in ("trials", "samples"):
         value = getattr(args, name)
@@ -162,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pre = sub.add_parser("preset", help="reproduce a benchmark scenario")
     p_pre.add_argument("name", choices=PRESET_NAMES)
-    p_pre.add_argument("--seed", type=int, default=20260808)
+    p_pre.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_pre.add_argument("--horizon", type=int)
     p_pre.add_argument("--replications", type=int, default=1)
-    p_pre.add_argument("--n-values", help="comma list of network sizes")
-    p_pre.add_argument("--natural-log", action="store_true",
+    p_pre.add_argument("--n-values", type=_comma_list(int, "integers"),
+                       help="comma list of network sizes")
+    p_pre.add_argument("--natural-log", dest="log_base", action="store_const",
+                       const=math.e, default=10.0,
                        help="use natural logs in the parameter formulas "
                             "(base-10 is the default)")
     p_pre.add_argument("--output")
@@ -174,9 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep", help="sweep one parameter over a range")
     p_swp.add_argument("--config", required=True)
-    p_swp.add_argument("--param", required=True,
-                       choices=("n_sources", "alpha", "beta", "b_offset"))
-    p_swp.add_argument("--values", required=True, help="comma list of values")
+    p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
+    p_swp.add_argument("--values", required=True,
+                       type=_comma_list(float, "numbers"),
+                       help="comma list of values")
     p_swp.add_argument("--seed", type=int)
     p_swp.add_argument("--horizon", type=int)
     p_swp.add_argument("--replications", "--trials", type=int,
@@ -188,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("check", choices=sorted(CHECKS))
     p_ver.add_argument("--trials", type=int, help="random states to test")
     p_ver.add_argument("--samples", type=int, help="Monte Carlo draws per state")
-    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
@@ -196,14 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Some bad values surface only once a run or check starts, e.g. a
-    # negative --seed or a --trials below 1.
+    # Every command reports its errors here.  Some bad values surface
+    # only once a run or check starts, e.g. a negative --seed or a
+    # --trials below 1; an output file that cannot be written is a
+    # runtime error.
     try:
         return args.func(args)
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -15,6 +15,8 @@ from typing import Sequence
 import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
+# The seed of every preset, config file and check that names none.
+DEFAULT_SEED = 20260808
 
 
 class ParameterError(ValueError):
@@ -49,10 +51,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"
-
-    def child(self, *ids: int) -> "RngStream":
-        """Derive an independent substream; never perturbs this stream."""
-        return RngStream(self.seed, self.path + tuple(int(i) for i in ids))
 
     def uniform(self) -> float:
         """One draw from Uniform[0, 1); served from an internal block cache."""

@@ -20,9 +20,9 @@ import numpy as np
 
 from .analysis import overhead_upper_bound
 from .core import (
+    DEFAULT_SEED,
     BackoffParams,
     NetworkConfig,
-    ParameterError,
     recommended_defaults,
 )
 from .engine import run
@@ -31,7 +31,10 @@ from .policies import RULES, PolicyKind
 DESK_SCALE_N = (2, 5, 10, 20, 30)
 DEFAULT_HORIZON = 100_000
 
-SWEEPABLE = ("n_sources", "alpha", "beta", "b_offset")
+# Each sweepable parameter and the type its swept value is converted to.
+_SWEEP_TYPES = {"n_sources": int, "alpha": float, "beta": float,
+                "b_offset": int}
+SWEEPABLE = tuple(_SWEEP_TYPES)
 
 CSV_COLUMNS = (
     "scenario", "policy", "n_sources", "sweep_param", "sweep_value",
@@ -56,7 +59,7 @@ class ExperimentSpec:
     weights: "str | tuple[float, ...]" = "ones"
     horizon: int = DEFAULT_HORIZON
     horizon_unit: str = "deliveries"
-    base_seed: int = 20260808
+    base_seed: int = DEFAULT_SEED
     replications: int = 1
     markov_q: float | None = None
     # None fields fall back to the benchmark formulas for the point's N.
@@ -82,6 +85,11 @@ class ExperimentSpec:
                                   f"choose one of {SWEEPABLE}")
             if len(self.sweep_values) == 0:
                 raise ConfigError("sweep_values is empty")
+            if (_SWEEP_TYPES[self.sweep_param] is int
+                    and not all(float(v).is_integer()
+                                for v in self.sweep_values)):
+                raise ConfigError(f"{self.sweep_param} sweep values must be "
+                                  f"integers, got {self.sweep_values}")
         if self.horizon_unit not in ("frames", "deliveries"):
             raise ConfigError(f"unknown horizon_unit {self.horizon_unit!r}")
         if self.horizon < 1:
@@ -110,34 +118,25 @@ def _build_weights(spec_weights, n: int) -> tuple[float, ...]:
 
 def resolve_points(spec: ExperimentSpec) -> list[SweepPoint]:
     """Materialize (config, params) for each sweep point, sorted by the
-    swept value; a sweep-less spec yields a single point."""
-    values: Sequence[float | None]
-    if spec.sweep_param is None:
-        values = [None]
-    else:
-        values = sorted(spec.sweep_values)
+    swept value; a sweep-less spec yields a single point.
 
+    The swept value overrides the spec's value, which overrides the
+    recommended formulas for the point's N.
+    """
+    values = [None] if spec.sweep_param is None else sorted(spec.sweep_values)
     points = []
     for value in values:
-        n = spec.n_sources
-        if spec.sweep_param == "n_sources":
-            n = int(value)
+        fixed = {"n_sources": spec.n_sources, "alpha": spec.alpha,
+                 "beta": spec.beta, "b_offset": spec.b_offset}
+        if spec.sweep_param is not None:
+            fixed[spec.sweep_param] = _SWEEP_TYPES[spec.sweep_param](value)
+        n = fixed.pop("n_sources")
         weights = _build_weights(spec.weights, n)
         base = recommended_defaults(n, weights, aoii=spec.aoii_defaults,
                                     log_base=spec.log_base)
-        params = BackoffParams(
-            alpha=spec.alpha if spec.alpha is not None else base.alpha,
-            beta=spec.beta if spec.beta is not None else base.beta,
-            b_offset=spec.b_offset if spec.b_offset is not None else base.b_offset,
-            minislots_per_update=spec.minislots_per_update,
-            delta_scale=spec.delta_scale,
-        )
-        if spec.sweep_param == "alpha":
-            params = replace(params, alpha=float(value))
-        elif spec.sweep_param == "beta":
-            params = replace(params, beta=float(value))
-        elif spec.sweep_param == "b_offset":
-            params = replace(params, b_offset=int(value))
+        params = replace(base, minislots_per_update=spec.minislots_per_update,
+                         delta_scale=spec.delta_scale,
+                         **{k: v for k, v in fixed.items() if v is not None})
         config = NetworkConfig(n_sources=n, weights=weights,
                                horizon_frames=spec.horizon,
                                seed=spec.base_seed)
@@ -155,18 +154,38 @@ _AOI_POLICIES = (PolicyKind.MAX_WEIGHT, PolicyKind.STATIONARY_RANDOMIZED,
 _AOII_POLICIES = (PolicyKind.MAX_WEIGHT, PolicyKind.IDEALIZED_FRESH_CSMA_AOII,
                   PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII)
 
-PRESET_NAMES = (
-    "fig3_symmetric", "fig4_sqrt_weights", "fig5_alpha_sweep",
-    "fig6_beta_collisions", "fig7_B_collisions",
-    "fig8_beta_overhead", "fig9_B_overhead",
-    "fig10_aoii", "fig11_aoii_aoi",
-)
+# The ExperimentSpec fields each preset sets beyond the defaults.  An
+# entry without sweep_values sweeps N over the preset's n_values.
+_FIG6 = dict(policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
+             horizon_unit="frames", sweep_param="beta",
+             sweep_values=(1.01, 1.05, 1.1, 1.2, 1.5, 2.0))
+_FIG7 = dict(policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
+             horizon_unit="frames", sweep_param="b_offset",
+             sweep_values=(0, 5, 10, 50, 100, 250, 260, 300))
+_FIG10 = dict(policies=_AOII_POLICIES, markov_q=0.05, aoii_defaults=True,
+              sweep_param="n_sources")
+_PRESETS = {
+    "fig3_symmetric": dict(policies=_AOI_POLICIES, sweep_param="n_sources"),
+    "fig4_sqrt_weights": dict(policies=_AOI_POLICIES, weights="sqrt",
+                              sweep_param="n_sources"),
+    "fig5_alpha_sweep": dict(
+        policies=(PolicyKind.MAX_WEIGHT, PolicyKind.IDEALIZED_FRESH_CSMA,
+                  PolicyKind.NEAR_REALISTIC_FRESH_CSMA),
+        sweep_param="alpha", sweep_values=(1.01, 1.05, 1.1, 1.5, 2.0, 5.0, 9.0)),
+    "fig6_beta_collisions": _FIG6,
+    "fig7_B_collisions": _FIG7,
+    # Figs. 8, 9 and 11 plot other columns of the same simulations.
+    "fig8_beta_overhead": _FIG6,
+    "fig9_B_overhead": _FIG7,
+    "fig10_aoii": _FIG10,
+    "fig11_aoii_aoi": _FIG10,
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
+def preset(name: str, *, seed: int = DEFAULT_SEED, horizon: int | None = None,
            replications: int = 1, n_values: Sequence[int] | None = None,
-           log_base: float = 10.0,
-           output_path: str | None = None) -> ExperimentSpec:
+           log_base: float = 10.0) -> ExperimentSpec:
     """Desk-scale experiment spec for a named benchmark scenario.
 
     Network-size sweeps default to DESK_SCALE_N; the parameter formulas
@@ -176,57 +195,13 @@ def preset(name: str, *, seed: int = 20260808, horizon: int | None = None,
     delivery-based horizon); the AoI/AoII scenarios run to a fixed
     number of delivered updates.
     """
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
     n_sweep = tuple(float(v) for v in (n_values or DESK_SCALE_N))
-    common = dict(base_seed=seed, replications=replications,
-                  horizon=DEFAULT_HORIZON if horizon is None else horizon,
-                  log_base=log_base, output_path=output_path)
-
-    if name == "fig3_symmetric":
-        return ExperimentSpec(scenario=name, policies=_AOI_POLICIES,
-                              n_sources=10, weights="ones",
-                              horizon_unit="deliveries",
-                              sweep_param="n_sources", sweep_values=n_sweep,
-                              **common)
-    if name == "fig4_sqrt_weights":
-        return ExperimentSpec(scenario=name, policies=_AOI_POLICIES,
-                              n_sources=10, weights="sqrt",
-                              horizon_unit="deliveries",
-                              sweep_param="n_sources", sweep_values=n_sweep,
-                              **common)
-    if name == "fig5_alpha_sweep":
-        return ExperimentSpec(scenario=name,
-                              policies=(PolicyKind.MAX_WEIGHT,
-                                        PolicyKind.IDEALIZED_FRESH_CSMA,
-                                        PolicyKind.NEAR_REALISTIC_FRESH_CSMA),
-                              n_sources=10, weights="ones",
-                              horizon_unit="deliveries",
-                              sweep_param="alpha",
-                              sweep_values=(1.01, 1.05, 1.1, 1.5, 2.0, 5.0, 9.0),
-                              **common)
-    if name in ("fig6_beta_collisions", "fig8_beta_overhead"):
-        return ExperimentSpec(scenario=name,
-                              policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
-                              n_sources=10, weights="ones",
-                              horizon_unit="frames",
-                              sweep_param="beta",
-                              sweep_values=(1.01, 1.05, 1.1, 1.2, 1.5, 2.0),
-                              **common)
-    if name in ("fig7_B_collisions", "fig9_B_overhead"):
-        return ExperimentSpec(scenario=name,
-                              policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
-                              n_sources=10, weights="ones",
-                              horizon_unit="frames",
-                              sweep_param="b_offset",
-                              sweep_values=(0, 5, 10, 50, 100, 250, 260, 300),
-                              **common)
-    if name in ("fig10_aoii", "fig11_aoii_aoi"):
-        return ExperimentSpec(scenario=name, policies=_AOII_POLICIES,
-                              n_sources=10, weights="ones",
-                              horizon_unit="deliveries",
-                              markov_q=0.05, aoii_defaults=True,
-                              sweep_param="n_sources", sweep_values=n_sweep,
-                              **common)
-    raise ConfigError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
+    return ExperimentSpec(scenario=name, n_sources=10, base_seed=seed,
+                          horizon=DEFAULT_HORIZON if horizon is None else horizon,
+                          replications=replications, log_base=log_base,
+                          **{"sweep_values": n_sweep, **_PRESETS[name]})
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +298,39 @@ def write_csv(rows: list[dict], path: "str | Path") -> Path:
 # Flat config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = (
-    "scenario", "policies", "n_sources", "weights", "horizon", "horizon_unit",
-    "seed", "replications", "alpha", "beta", "b_offset",
-    "minislots_per_update", "delta_scale", "markov_q",
-    "sweep_param", "sweep_values", "output",
-)
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _policies(text: str) -> tuple[PolicyKind, ...]:
+    return tuple(PolicyKind(p.strip()) for p in text.split(","))
+
+
+def _weights(text: str) -> "str | tuple[float, ...]":
+    return text if text in ("ones", "sqrt") else _floats(text)
+
+
+# Config key -> (ExperimentSpec field, value parser).  An absent key is
+# left to the field's default.
+_CONFIG_KEYS = {
+    "scenario": ("scenario", str),
+    "policies": ("policies", _policies),
+    "n_sources": ("n_sources", int),
+    "weights": ("weights", _weights),
+    "horizon": ("horizon", int),
+    "horizon_unit": ("horizon_unit", str),
+    "seed": ("base_seed", int),
+    "replications": ("replications", int),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "b_offset": ("b_offset", int),
+    "minislots_per_update": ("minislots_per_update", int),
+    "delta_scale": ("delta_scale", float),
+    "markov_q": ("markov_q", float),
+    "sweep_param": ("sweep_param", str),
+    "sweep_values": ("sweep_values", _floats),
+    "output": ("output_path", str),
+}
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -337,7 +339,7 @@ def parse_config(text: str) -> ExperimentSpec:
     Lines starting with '#' are comments; unknown keys are errors, not
     warnings, so typos cannot silently change an experiment.
     """
-    raw: dict[str, str] = {}
+    fields = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -348,51 +350,16 @@ def parse_config(text: str) -> ExperimentSpec:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        field, parse = _CONFIG_KEYS[key]
+        if field in fields:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
+        try:
+            fields[field] = parse(value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
 
-    if "policies" not in raw:
+    if "policies" not in fields:
         raise ConfigError("config needs a 'policies' key")
-    if "n_sources" not in raw:
+    if "n_sources" not in fields:
         raise ConfigError("config needs an 'n_sources' key")
-
-    try:
-        policies = tuple(PolicyKind(p.strip())
-                         for p in raw["policies"].split(","))
-    except ValueError as exc:
-        raise ConfigError(f"unknown policy name: {exc}") from None
-
-    def _get(key, conv, default):
-        return conv(raw[key]) if key in raw else default
-
-    weights: "str | tuple[float, ...]" = raw.get("weights", "ones")
-    if weights not in ("ones", "sqrt"):
-        weights = tuple(float(w) for w in str(weights).split(","))
-
-    sweep_values = None
-    if "sweep_values" in raw:
-        sweep_values = tuple(float(v) for v in raw["sweep_values"].split(","))
-
-    try:
-        return ExperimentSpec(
-            scenario=raw.get("scenario", "custom"),
-            policies=policies,
-            n_sources=int(raw["n_sources"]),
-            weights=weights,
-            horizon=_get("horizon", int, DEFAULT_HORIZON),
-            horizon_unit=raw.get("horizon_unit", "deliveries"),
-            base_seed=_get("seed", int, 20260808),
-            replications=_get("replications", int, 1),
-            markov_q=_get("markov_q", float, None),
-            alpha=_get("alpha", float, None),
-            beta=_get("beta", float, None),
-            b_offset=_get("b_offset", int, None),
-            minislots_per_update=_get("minislots_per_update", int, 10_000),
-            delta_scale=_get("delta_scale", float, 0.01),
-            sweep_param=raw.get("sweep_param"),
-            sweep_values=sweep_values,
-            output_path=raw.get("output"),
-        )
-    except (ValueError, ParameterError) as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentSpec(**{"scenario": "custom", **fields})

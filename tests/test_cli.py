@@ -70,6 +70,31 @@ def test_simulate_missing_file_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_simulate_missing_file_is_a_config_error(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
+    assert "config error: cannot read --config" in capsys.readouterr().err
+
+
+def test_simulate_malformed_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("policies = max_weight\nn_sources = 2\nweights = 1, x")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "line 3: weights" in capsys.readouterr().err
+
+
+def test_unwritable_output_and_trace_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("policies = max_weight\nn_sources = 2\nhorizon = 20")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["simulate", "--config", str(cfg),
+                 "--output", str(blocker / "out.csv")]) == 1
+    assert main(["simulate", "--config", str(cfg),
+                 "--trace", str(tmp_path / "no_dir" / "t.txt"),
+                 "--output", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
 def test_simulate_trace(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("scenario = t\npolicies = near_realistic_fresh_csma\n"
@@ -100,6 +125,53 @@ def test_sweep_command(tmp_path):
     rows = _read_rows(out)
     assert [r["sweep_value"] for r in rows] == ["1.2", "1.4"]
     assert rows[0]["scenario"] == "s_sweep_beta"
+
+
+def _exit_code(argv):
+    """main's return code, or the code of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_preset_malformed_n_values_exits_2(tmp_path):
+    out = tmp_path / "out.csv"
+    assert _exit_code(["preset", "fig3_symmetric", "--n-values", "3,x",
+                       "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_malformed_values_exits_2(tmp_path):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out.csv"
+    assert _exit_code(["sweep", "--config", str(cfg), "--param", "beta",
+                       "--values", "1.1,y", "--output", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param, values", [
+    ("n_sources", "2.7,3"),
+    ("b_offset", "5.9"),
+])
+def test_sweep_fractional_integer_values_exit_2(param, values, tmp_path,
+                                                capsys):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--param", param,
+                 "--values", values, "--output", str(out)]) == 2
+    assert "integ" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_empty_config_reports_missing_policies(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    assert main(["sweep", "--config", str(cfg), "--param", "beta",
+                 "--values", "1.2"]) == 2
+    assert "config needs a 'policies' key" in capsys.readouterr().err
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -67,15 +67,14 @@ def test_uniforms_shape_rows_equal_successive_calls(k, n, seed):
 
 def test_stream_children_are_independent_of_parent_position():
     parent = RngStream(7)
-    child_before = parent.child(3)
+    child_before = RngStream(7, (3,))
     parent.uniform()
-    child_after = RngStream(7).child(3)
+    child_after = RngStream(7, (3,))
     assert child_before.uniform() == child_after.uniform()
 
 
 def test_stream_distinct_substreams_differ():
-    root = RngStream(7)
-    assert root.child(0).uniform() != root.child(1).uniform()
+    assert RngStream(7, (0,)).uniform() != RngStream(7, (1,)).uniform()
 
 
 def test_stream_rejects_bad_seed_and_path():

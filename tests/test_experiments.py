@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ def test_spec_requires_sweep_pairing():
 def test_spec_rejects_empty_policies():
     with pytest.raises(ConfigError):
         ExperimentSpec(scenario="x", policies=(), n_sources=2)
+
+
+@pytest.mark.parametrize("param, values", [
+    ("n_sources", (2.7, 3.0)),
+    ("b_offset", (5.9,)),
+    ("b_offset", (math.nan,)),
+])
+def test_spec_rejects_fractional_integer_sweep(param, values):
+    with pytest.raises(ConfigError, match="integ"):
+        ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
+                       n_sources=2, sweep_param=param, sweep_values=values)
+
+
+def test_spec_accepts_integral_float_sweep():
+    spec = ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
+                          n_sources=2, sweep_param="b_offset",
+                          sweep_values=(0.0, 5.0))
+    assert [p.params.b_offset for p in resolve_points(spec)] == [0, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +203,20 @@ def test_parse_config_round_trip():
     assert spec.beta == pytest.approx(1.25)
     assert spec.alpha is None  # falls back to the recommended formula
     assert spec.markov_q == pytest.approx(0.05)
+
+
+def test_parse_config_leaves_defaults_to_the_spec():
+    assert parse_config("policies = max_weight\nn_sources = 2") == \
+        ExperimentSpec(scenario="custom", policies=(PolicyKind.MAX_WEIGHT,),
+                       n_sources=2)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    spec = parse_config(example)
+    assert spec.scenario == "demo"
+    assert spec.sweep_values == (1.05, 1.1, 1.5)
 
 
 def test_parse_config_explicit_weights():
