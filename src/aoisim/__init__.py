@@ -2,7 +2,6 @@
 age-of-information scheduling in single-hop wireless networks."""
 
 from .analysis import (
-    BoundReport,
     distinct_timer_bound,
     lyapunov_drift_pair,
     match_probability,
@@ -40,7 +39,7 @@ from .policies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackoffParams", "BoundReport", "CHECKS", "CheckResult", "ConfigError",
+    "BackoffParams", "CHECKS", "CheckResult", "ConfigError",
     "ExperimentSpec", "NetworkConfig", "ParameterError", "ParamsReport",
     "PolicyKind", "RngStream", "SimulationResult", "distinct_timer_bound",
     "drift_alpha_threshold", "lyapunov_drift_pair", "match_alpha_threshold",

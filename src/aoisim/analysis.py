@@ -8,18 +8,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BackoffParams,
-    ParameterError,
-    RngStream,
-    aoi_exponents,
-    discretize_log_timers,
-    log_sum_exp,
-)
+from .core import BackoffParams, ParameterError, aoi_exponents, log_sum_exp
 from .policies import scheduling_probabilities, stationary_randomized_probs
 
 EULER_GAMMA = 0.5772156649015329
@@ -28,20 +20,6 @@ LN_MIN_NORMAL = math.log(sys.float_info.min)
 
 _GAMMA_EPS = 1e-15
 _GAMMA_MAX_ITER = 400
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A closed-form bound, optionally with a Monte Carlo estimate.
-
-    satisfied is only set when an empirical value is attached and means
-    the estimate respects the bound within 3 standard errors.
-    """
-
-    bound_value: float
-    empirical_value: float | None = None
-    mc_std_error: float | None = None
-    satisfied: bool | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -136,41 +114,13 @@ def timer_separation_term(b_offset: int, beta: float,
 
 
 def distinct_timer_bound(log_rate_i: float, log_rate_j: float,
-                         params: BackoffParams, *,
-                         mc_trials: int = 0,
-                         stream: RngStream | None = None) -> BoundReport:
-    """Lower bound on P(the two sources pick different minislot timers).
-
-    With mc_trials > 0 a Monte Carlo estimate of the actual probability
-    is attached; the bound holds when the estimate does not fall more
-    than 3 standard errors below it.  The standard error is computed
-    from the Laplace-smoothed frequency so it cannot degenerate to zero
-    when every pair lands on the same side (the raw estimate itself is
-    reported unsmoothed).
-    """
-    bound = (timer_separation_term(params.b_offset, params.beta,
-                                   log_rate_i, log_rate_j)
-             + timer_separation_term(params.b_offset, params.beta,
-                                     log_rate_j, log_rate_i))
-    if mc_trials <= 0:
-        return BoundReport(bound_value=bound)
-    if stream is None:
-        raise ParameterError("Monte Carlo estimation needs a stream")
-    d_i = _mc_discrete_timers(stream, log_rate_i, params, mc_trials)
-    d_j = _mc_discrete_timers(stream, log_rate_j, params, mc_trials)
-    distinct = int(np.count_nonzero(d_i != d_j))
-    p_hat = distinct / mc_trials
-    p_smooth = (distinct + 1) / (mc_trials + 2)
-    stderr = math.sqrt(p_smooth * (1.0 - p_smooth) / mc_trials)
-    return BoundReport(bound_value=bound, empirical_value=p_hat,
-                       mc_std_error=stderr,
-                       satisfied=p_hat >= bound - 3.0 * stderr)
-
-
-def _mc_discrete_timers(stream: RngStream, log_rate: float,
-                        params: BackoffParams, trials: int) -> np.ndarray:
-    log_z = np.log(stream.unit_exponentials(trials)) - log_rate
-    return discretize_log_timers(log_z, params)
+                         params: BackoffParams) -> float:
+    """Lower bound on P(the two sources pick different minislot timers):
+    the sum of both directions' timer_separation_term."""
+    return (timer_separation_term(params.b_offset, params.beta,
+                                  log_rate_i, log_rate_j)
+            + timer_separation_term(params.b_offset, params.beta,
+                                    log_rate_j, log_rate_i))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,21 @@ def _blocks(trials: int) -> list[int]:
     return [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
 
 
+def _log_timers(stream: RngStream, log_rate: np.ndarray,
+                samples: int) -> np.ndarray:
+    """ln Z_i = ln E_i - log_rate_i of samples contentions, one row per
+    source.  Row i holds source i's unit_exponentials(samples), drawn row
+    after row into one preallocated block, so the draw's temporaries never
+    span more than one row."""
+    log_rate = np.asarray(log_rate, dtype=float)
+    log_z = np.empty((len(log_rate), samples))
+    for row in log_z:
+        row[:] = stream.unit_exponentials(samples)
+    np.log(log_z, out=log_z)
+    log_z -= log_rate[:, None]
+    return log_z
+
+
 # ---------------------------------------------------------------------------
 # Per-frame match with the centralized argmax rules
 # ---------------------------------------------------------------------------
@@ -124,11 +139,8 @@ def check_winner_distribution(trials: int = 20, samples: int = 100_000,
         ages = np.array([1 + stream.integer(8) for _ in range(n)])
         exponent = aoi_exponents(ages, np.ones(n))
         probs = scheduling_probabilities(alpha, exponent)
-        log_rate = exponent * math.log(alpha)
-        # winner = argmin of ln E_i - log_rate_i across samples
-        keys = np.vstack([np.log(stream.unit_exponentials(samples)) - log_rate[i]
-                          for i in range(n)])
-        wins = np.bincount(np.argmin(keys, axis=0), minlength=n) / samples
+        log_z = _log_timers(stream, exponent * math.log(alpha), samples)
+        wins = np.bincount(np.argmin(log_z, axis=0), minlength=n) / samples
         stderr = np.sqrt(probs * (1.0 - probs) / samples)
         margin = float((3.0 * stderr - np.abs(wins - probs)).min())
         worst = min(worst, margin)
@@ -181,12 +193,16 @@ def check_distinct_timer_bound(samples: int = 100_000,
                 prev = -math.inf
                 for b in b_grid:
                     params = BackoffParams(alpha=2.0, beta=beta, b_offset=b)
-                    report = distinct_timer_bound(lri, lrj, params,
-                                                  mc_trials=samples,
-                                                  stream=stream)
-                    slack = (report.empirical_value
-                             - (report.bound_value - 3.0 * report.mc_std_error))
-                    worst = min(worst, slack)
+                    d = discretize_log_timers(
+                        _log_timers(stream, (lri, lrj), samples), params)
+                    distinct = int(np.count_nonzero(d[0] != d[1]))
+                    # Laplace-smoothed, so the error cannot vanish when
+                    # every pair lands on the same side
+                    p_smooth = (distinct + 1) / (samples + 2)
+                    stderr = math.sqrt(p_smooth * (1.0 - p_smooth) / samples)
+                    bound = distinct_timer_bound(lri, lrj, params)
+                    worst = min(worst, distinct / samples
+                                - (bound - 3.0 * stderr))
                     psi = timer_separation_term(b, beta, lri, lrj)
                     # 1e-15 absorbs ulp-level rounding where psi is ~0
                     worst = min(worst, psi - prev + 1e-15)
@@ -213,12 +229,11 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
         weights = np.ones(n)
         params = BackoffParams(alpha=1.2, beta=1.0 + 0.1 + 0.4 * stream.uniform(),
                                b_offset=200 + stream.integer(100))
-        log_rate = aoi_exponents(ages, weights) * params.ln_alpha
-        d_matrix = np.vstack([
-            discretize_log_timers(
-                np.log(stream.unit_exponentials(samples)) - log_rate[i], params)
-            for i in range(n)])
-        mean_d = float(d_matrix.min(axis=0).mean())
+        log_z = _log_timers(stream, aoi_exponents(ages, weights)
+                            * params.ln_alpha, samples)
+        # the grid map is monotone, so the winning minislot is the
+        # minimum timer's
+        mean_d = float(discretize_log_timers(log_z.min(axis=0), params).mean())
         bound = overhead_upper_bound(ages, weights, params, minislots=True)
         worst = min(worst, bound - mean_d)
     return CheckResult(name="idle-time upper bound", ok=worst >= 0.0,

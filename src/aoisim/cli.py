@@ -82,6 +82,7 @@ def _write_trace(spec: ExperimentSpec, trace_path: str) -> None:
     if len(spec.policies) != 1 or spec.sweep_param is not None:
         raise ConfigError("--trace needs a single policy and no sweep")
     point = resolve_points(spec)[0]
+    Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
     with open(trace_path, "w", encoding="utf-8") as fh:
         run_replication(spec, point, spec.policies[0], 0, trace=fh)
     print(f"trace written to {trace_path}")

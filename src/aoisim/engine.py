@@ -128,18 +128,16 @@ def _trajectory(q: np.ndarray, x_start: np.ndarray,
         start = states[-1].copy()
 
 
-def _timer_blocks(sources: list[RngStream]
-                  ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(E, ln E), _BLOCK frames at a time: one exp(1) draw per source and
-    frame, with ln applied once per block.  The next refill overwrites
-    both."""
-    e = np.empty((_BLOCK, len(sources)))
-    log_e = np.empty_like(e)
+def _timer_blocks(sources: list[RngStream]) -> Iterator[np.ndarray]:
+    """ln E, _BLOCK frames at a time: one exp(1) draw per source and
+    frame, with ln applied once per block in place.  The next refill
+    overwrites it."""
+    log_e = np.empty((_BLOCK, len(sources)))
     while True:
         for i, s in enumerate(sources):
-            e[:, i] = s.exponential_sequence(_BLOCK)
-        np.log(e, out=log_e)
-        yield e, log_e
+            log_e[:, i] = s.exponential_sequence(_BLOCK)
+        np.log(log_e, out=log_e)
+        yield log_e
 
 
 def _mismatch_ages(x: np.ndarray, x_before: np.ndarray, run: np.ndarray,
@@ -227,7 +225,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
     frame cap (max_frames, at least 1, default 100x the target) turns a
     non-delivering configuration into an error instead of a hang.  A
     frames horizon takes no cap.  trace, if given, receives one line per
-    frame.
+    frame, whose min_timer is the winner's key read back as a timer: its
+    minislot on the grid, delta * Z in the idealized model.
     """
     if horizon_unit not in ("frames", "deliveries"):
         raise ParameterError(f"unknown horizon_unit {horizon_unit!r}")
@@ -252,12 +251,10 @@ def run(config: NetworkConfig, kind: PolicyKind,
     # The AoI exponent w_i * a**2 of frame age a, in row a: the delivered
     # source's column for the rest of a block.
     age_table = aoi_exponents(np.arange(_FRAMES)[:, None], w)
-    patch_exponent = signal == "frame_age" and (decide == "argmax"
-                                                or trace is not None)
+    patch_exponent = signal == "frame_age" and decide == "argmax"
     if contention:
         timers = _timer_blocks(sources)
-        ln_alpha = params.ln_alpha
-        log_rate_table = age_table * ln_alpha
+        log_rate_table = age_table * params.ln_alpha
         b_offset = params.b_offset if discrete else None
         slots_per_update = params.minislots_per_update
     if markov_q is not None:
@@ -296,7 +293,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
         offset = frames % _BLOCK
         if offset == 0:
             if contention:
-                e_block, log_e_block = next(timers)
+                log_e_block = next(timers)
             if markov_q is not None:
                 x_block = next(states)
         block = slice(offset, offset + _FRAMES)
@@ -314,7 +311,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
                              mismatch[:, :_FRAMES] if signal == "aoii" else None)
         if contention:
             log_e = log_e_block[block]
-            key = contention_keys(log_e, exponent * ln_alpha, params, discrete)
+            key = contention_keys(log_e, exponent * params.ln_alpha, params,
+                                  discrete)
             key_now = key[2] if signal == "aoii" else key
         exponent_now = exponent[2] if signal == "aoii" else exponent
 
@@ -372,18 +370,11 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     winners, timer = [delivered], 0.0
                 else:
                     row = key_now[r]
-                    tied = (row == row.min() if slot is None
+                    k = row.min()
+                    tied = (row == k if slot is None
                             else row < slot - b_offset + 1.0)
                     winners = np.flatnonzero(tied).tolist()
-                    if discrete:
-                        timer = slot
-                    elif signal is None:
-                        timer = (params.delta_scale
-                                 * float(e_block[offset + r, winners[0]])
-                                 / params.alpha)
-                    else:
-                        timer = float(params.delta_scale * np.exp(
-                            log_e[r] - exponent_now[r] * ln_alpha)[winners[0]])
+                    timer = math.exp(k) if slot is None else slot
                 trace.write(f"frame={frames} min_timer={timer:g} "
                             f"winners={','.join(map(str, winners))} "
                             f"collided={int(delivered is None)} "

@@ -197,7 +197,8 @@ def preset(name: str, *, seed: int = DEFAULT_SEED, horizon: int | None = None,
     """
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
-    n_sweep = tuple(float(v) for v in (n_values or DESK_SCALE_N))
+    n_sweep = tuple(float(v) for v in (DESK_SCALE_N if n_values is None
+                                       else n_values))
     return ExperimentSpec(scenario=name, n_sources=10, base_seed=seed,
                           horizon=DEFAULT_HORIZON if horizon is None else horizon,
                           replications=replications, log_base=log_base,

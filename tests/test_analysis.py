@@ -23,6 +23,7 @@ from aoisim.analysis import (
     LN_MIN_NORMAL,
     overhead_upper_bound_from_log_rate,
 )
+from aoisim.checks import _log_timers
 from aoisim.core import aoi_exponents, discretize_log_timers, log_sum_exp
 
 
@@ -123,30 +124,41 @@ def test_separation_term_extreme_rates_stay_in_unit_interval():
                 assert 0.0 <= v <= 1.0 and math.isfinite(v)
 
 
+def _distinct_share(lri, lrj, params, samples, seed):
+    """Monte Carlo share of timer pairs in different minislots, and its
+    Laplace-smoothed standard error."""
+    d = discretize_log_timers(_log_timers(RngStream(seed), (lri, lrj), samples),
+                              params)
+    distinct = int(np.count_nonzero(d[0] != d[1]))
+    p_smooth = (distinct + 1) / (samples + 2)
+    return distinct / samples, math.sqrt(p_smooth * (1 - p_smooth) / samples)
+
+
 def test_distinct_timer_bound_monte_carlo_confirms():
     params = BackoffParams(alpha=2.0, beta=1.1, b_offset=250)
-    report = distinct_timer_bound(0.0, 0.0, params, mc_trials=100_000,
-                                  stream=RngStream(61))
-    assert report.satisfied
-    assert report.empirical_value >= report.bound_value - 3 * report.mc_std_error
+    bound = distinct_timer_bound(0.0, 0.0, params)
+    p_hat, stderr = _distinct_share(0.0, 0.0, params, 100_000, 61)
+    assert p_hat >= bound - 3 * stderr
 
 
 def test_distinct_timer_bound_coarse_grid_forces_equal_timers():
     # beta = 1e6 with no offset maps every draw into minislot 0
     params = BackoffParams(alpha=2.0, beta=1e6, b_offset=0)
-    report = distinct_timer_bound(0.0, 0.0, params, mc_trials=20_000,
-                                  stream=RngStream(62))
-    assert report.empirical_value <= 1e-3
-    assert report.bound_value <= report.empirical_value + 1e-12
-    assert report.satisfied
+    bound = distinct_timer_bound(0.0, 0.0, params)
+    p_hat, stderr = _distinct_share(0.0, 0.0, params, 20_000, 62)
+    assert p_hat <= 1e-3
+    assert bound <= p_hat + 1e-12
+    assert p_hat >= bound - 3 * stderr
 
 
 def test_distinct_timer_bound_without_mc_has_no_verdict():
+    # the bound is a closed form only: both directions' terms summed
     params = BackoffParams(alpha=2.0, beta=1.2, b_offset=10)
-    report = distinct_timer_bound(1.0, 2.0, params)
-    assert report.empirical_value is None and report.satisfied is None
-    with pytest.raises(ParameterError):
-        distinct_timer_bound(1.0, 2.0, params, mc_trials=10)
+    bound = distinct_timer_bound(1.0, 2.0, params)
+    assert isinstance(bound, float)
+    assert bound == (timer_separation_term(10, 1.2, 1.0, 2.0)
+                     + timer_separation_term(10, 1.2, 2.0, 1.0))
+    assert 0.0 <= bound <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +191,9 @@ def test_overhead_bound_sampled_mean_stays_below():
     weights = np.ones(5)
     params = BackoffParams(alpha=1.3, beta=1.25, b_offset=120)
     bound = overhead_upper_bound(ages, weights, params, minislots=True)
-    log_rate = aoi_exponents(ages, weights) * params.ln_alpha
-    stream = RngStream(63)
-    samples = 100_000
-    d = np.vstack([
-        discretize_log_timers(np.log(stream.unit_exponentials(samples))
-                              - log_rate[i], params)
-        for i in range(5)]).min(axis=0)
+    log_z = _log_timers(RngStream(63),
+                        aoi_exponents(ages, weights) * params.ln_alpha, 100_000)
+    d = discretize_log_timers(log_z, params).min(axis=0)
     assert float(d.mean()) <= bound
 
 

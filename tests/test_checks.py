@@ -1,9 +1,14 @@
 """Fast passes over the randomized verifiers; the acceptance suite runs
 them at their full trial counts."""
 
-import pytest
+import math
 
-from aoisim import checks
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from aoisim import BackoffParams, checks
 from aoisim.checks import (
     CHECKS,
     check_distinct_timer_bound,
@@ -13,6 +18,7 @@ from aoisim.checks import (
     check_max_weight_match,
     check_winner_distribution,
 )
+from aoisim.core import discretize_log_timers
 
 
 def test_checks_registry_ids():
@@ -67,3 +73,23 @@ def test_block_checks_cover_every_state(monkeypatch):
     assert check_max_aoii_match(trials=300, alpha=20.0, seed=3) == whole
     assert check_max_weight_match(trials=300).ok
     assert check_drift_dominance(trials=300).ok
+
+
+# Ln-timers in grid units above the slot-0 edge -B ln(beta): near the
+# edge, on slot boundaries, far below and far above it, and -inf.
+_GRID_UNITS = st.one_of(st.floats(-12.0, 4.0), st.integers(-12, 4).map(float),
+                        st.floats(-1e300, -1e3), st.floats(1e3, 1e12),
+                        st.just(-math.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(units=arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=8),
+                    elements=_GRID_UNITS),
+       beta=st.floats(1.001, 5.0), b_offset=st.sampled_from([0, 1, 3, 8, 250]))
+def test_discretizing_the_minimum_equals_the_minimum_slot(units, beta, b_offset):
+    # the grid map is monotone, so the idle-time check may discretize the
+    # column minimum alone
+    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
+    log_z = (units - b_offset) * params.ln_beta
+    assert np.array_equal(discretize_log_timers(log_z.min(axis=0), params),
+                          discretize_log_timers(log_z, params).min(axis=0))

@@ -90,9 +90,19 @@ def test_unwritable_output_and_trace_exit_1(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--output", str(blocker / "out.csv")]) == 1
     assert main(["simulate", "--config", str(cfg),
-                 "--trace", str(tmp_path / "no_dir" / "t.txt"),
+                 "--trace", str(blocker / "t.txt"),
                  "--output", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_trace_creates_missing_directory(tmp_path):
+    # like --output, --trace creates the directories its file needs
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("policies = max_weight\nn_sources = 2\nhorizon = 20")
+    trace = tmp_path / "no_dir" / "deeper" / "t.txt"
+    assert main(["simulate", "--config", str(cfg), "--trace", str(trace),
+                 "--output", str(tmp_path / "out.csv")]) == 0
+    assert len(trace.read_text().splitlines()) == 20
 
 
 def test_simulate_trace(tmp_path):

@@ -61,6 +61,13 @@ def test_preset_unknown_name():
         preset("fig99_nonsense")
 
 
+def test_preset_empty_n_values_is_a_config_error():
+    # an empty size list is not the default sizes
+    with pytest.raises(ConfigError, match="sweep_values is empty"):
+        preset("fig3_symmetric", n_values=())
+    assert preset("fig6_beta_collisions", n_values=()).sweep_param == "beta"
+
+
 # ---------------------------------------------------------------------------
 # Spec resolution
 # ---------------------------------------------------------------------------
