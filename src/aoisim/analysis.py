@@ -11,8 +11,12 @@ import sys
 
 import numpy as np
 
-from .core import BackoffParams, ParameterError, aoi_exponents, log_sum_exp
-from .policies import scheduling_probabilities, stationary_randomized_probs
+from .core import BackoffParams, ParameterError
+from .policies import (
+    aoi_exponents,
+    scheduling_probabilities,
+    stationary_randomized_probs,
+)
 
 EULER_GAMMA = 0.5772156649015329
 # ln of the smallest normal double.
@@ -126,6 +130,13 @@ def distinct_timer_bound(log_rate_i: float, log_rate_j: float,
 # ---------------------------------------------------------------------------
 # Expected idle-time (backoff overhead) bound
 # ---------------------------------------------------------------------------
+
+def log_sum_exp(values: np.ndarray) -> float:
+    """Stable log of a sum of exponentials."""
+    values = np.asarray(values, dtype=float)
+    m = float(values.max())
+    return m + math.log(float(np.exp(values - m).sum()))
+
 
 def overhead_upper_bound(ages: np.ndarray, weights: np.ndarray,
                          params: BackoffParams, *,

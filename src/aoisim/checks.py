@@ -26,12 +26,15 @@ from .core import (
     BackoffParams,
     ParameterError,
     RngStream,
-    aoi_exponents,
-    discretize_log_timers,
     drift_alpha_threshold,
     match_alpha_threshold,
 )
-from .policies import scheduling_probabilities
+from .policies import (
+    aoi_exponents,
+    contention_keys,
+    minislots,
+    scheduling_probabilities,
+)
 
 # Random states drawn and evaluated per block, so memory stays bounded
 # at any trial count; the default counts fit in one block.
@@ -54,10 +57,12 @@ class CheckResult:
 
 def _state_stream(seed: int, **counts: int) -> RngStream:
     """The stream random states are drawn from, once every trial and
-    sample count is at least 1."""
+    sample count is at least 1 and the source count n at least 2 (one
+    source has no contention and no argmax set to check)."""
     for name, count in counts.items():
-        if count < 1:
-            raise ParameterError(f"{name} must be >= 1, got {count}")
+        least = 2 if name == "n" else 1
+        if count < least:
+            raise ParameterError(f"{name} must be >= {least}, got {count}")
     return RngStream(seed, (2,))
 
 
@@ -104,7 +109,7 @@ def check_max_weight_match(trials: int = 10_000, n: int = 10,
                            seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form contention mass on the max-weight argmax set is at
     least 1 - delta at every random integer-age, integer-weight state."""
-    stream = _state_stream(seed, trials=trials)
+    stream = _state_stream(seed, trials=trials, n=n)
 
     def states(rows: int) -> np.ndarray:
         ages = 1 + stream.integers(20, (rows, n))
@@ -117,7 +122,7 @@ def check_max_aoii_match(trials: int = 10_000, n: int = 10,
                          delta: float = 0.1, alpha: float | None = None,
                          seed: int = DEFAULT_SEED) -> CheckResult:
     """Same guarantee with integer mismatch ages as the exponents."""
-    stream = _state_stream(seed, trials=trials)
+    stream = _state_stream(seed, trials=trials, n=n)
     return _match_check("max-mismatch-age match probability",
                         lambda rows: stream.integers(30, (rows, n)), trials, n,
                         delta, alpha)
@@ -158,7 +163,7 @@ def check_drift_dominance(trials: int = 10_000, n: int = 10,
                           seed: int = DEFAULT_SEED) -> CheckResult:
     """Contention drift never exceeds the optimal stationary randomized
     drift at random integer states once alpha clears its threshold."""
-    stream = _state_stream(seed, trials=trials)
+    stream = _state_stream(seed, trials=trials, n=n)
     worst = math.inf
     for rows in _blocks(trials):
         weights = 1 + stream.integers(5, (rows, n))
@@ -193,8 +198,10 @@ def check_distinct_timer_bound(samples: int = 100_000,
                 prev = -math.inf
                 for b in b_grid:
                     params = BackoffParams(alpha=2.0, beta=beta, b_offset=b)
-                    d = discretize_log_timers(
-                        _log_timers(stream, (lri, lrj), samples), params)
+                    key = contention_keys(
+                        _log_timers(stream, (lri, lrj), samples), 0.0, params,
+                        discrete=True)
+                    d = minislots(key, b)
                     distinct = int(np.count_nonzero(d[0] != d[1]))
                     # Laplace-smoothed, so the error cannot vanish when
                     # every pair lands on the same side
@@ -233,7 +240,8 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
                             * params.ln_alpha, samples)
         # the grid map is monotone, so the winning minislot is the
         # minimum timer's
-        mean_d = float(discretize_log_timers(log_z.min(axis=0), params).mean())
+        key = contention_keys(log_z.min(axis=0), 0.0, params, discrete=True)
+        mean_d = float(minislots(key, params.b_offset).mean())
         bound = overhead_upper_bound(ages, weights, params, minislots=True)
         worst = min(worst, bound - mean_d)
     return CheckResult(name="idle-time upper bound", ok=worst >= 0.0,

@@ -1,9 +1,9 @@
-"""Shared domain types, seeded randomness, and log-domain timer kernels.
+"""Shared domain types, seeded randomness and parameter formulas.
 
-Everything rate-related is kept in log domain: a contention rate of the
-form alpha**(w * age**2) overflows 64-bit floats as soon as the exponent
-times ln(alpha) passes ~700, so rates travel as log-rates and timers are
-compared through their logarithms.
+The contention rule itself (exponents, keys, the minislot map and the
+resolution of a contention) lives in policies; this module only
+describes a network and its protocol parameters, grades and recommends
+those parameters, and supplies the seeded streams every draw comes from.
 """
 
 from __future__ import annotations
@@ -196,38 +196,6 @@ class BackoffParams:
     @property
     def ln_beta(self) -> float:
         return math.log(self.beta)
-
-
-# ---------------------------------------------------------------------------
-# Rate exponents
-# ---------------------------------------------------------------------------
-
-def aoi_exponents(frame_age: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The AoI exponent w_i * age_i**2 per source; its log rate is
-    exponent * ln(alpha)."""
-    age = np.asarray(frame_age, dtype=float)
-    return np.asarray(weights, dtype=float) * age * age
-
-
-def log_sum_exp(values: np.ndarray) -> float:
-    """Stable log of a sum of exponentials."""
-    values = np.asarray(values, dtype=float)
-    m = float(values.max())
-    return m + math.log(float(np.exp(values - m).sum()))
-
-
-# ---------------------------------------------------------------------------
-# Minislot discretization
-# ---------------------------------------------------------------------------
-
-def discretize_log_timers(log_z: np.ndarray, params: BackoffParams) -> np.ndarray:
-    """Map ln-timers onto the minislot grid: max(B + floor(log_beta(z)), 0).
-
-    Taking the timers as logs means callers never exponentiate, so rates
-    far beyond float range still land on the right minislot.
-    """
-    slots = params.b_offset + np.floor(np.asarray(log_z, dtype=float) / params.ln_beta)
-    return np.maximum(slots, 0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 
 Every frame works the same way.  A centralized rule schedules one
 source.  Under contention each source draws an exponential timer at
-rate alpha**e_i, the smallest timer wins and equal minima collide.  The
-two channel models differ in two places only: the near-realistic model
-compares timers after mapping them onto the log-beta minislot grid, and
-its frames last 1 + D/M time units, where the winning minislot D is the
-idle head charged as backoff overhead; idealized frames last one unit.
-Markov two-state sources can be layered on either model to drive
-mismatch-age (AoII) scheduling.
+rate alpha**e_i and the frame is resolved by policies.resolve, which
+holds the contention rule and the minislot grid of the near-realistic
+model.  Here the two channel models differ only in frame length:
+near-realistic frames last 1 + D/M time units, where the winning
+minislot D is the idle head charged as backoff overhead; idealized
+frames last one unit.  Markov two-state sources can be layered on
+either model to drive mismatch-age (AoII) scheduling.
 
 run() steps through the frames in blocks of _FRAMES.  Between deliveries
 every frame age grows by one and every mismatch age follows its source's
@@ -28,19 +28,16 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .core import (
-    BackoffParams,
-    NetworkConfig,
-    ParameterError,
-    RngStream,
-    aoi_exponents,
-)
+from .core import BackoffParams, NetworkConfig, ParameterError, RngStream
 from .policies import (
     RULES,
     PolicyKind,
+    aoi_exponents,
     argmax_decide,
     contention_keys,
     exponents,
+    minislots,
+    resolve,
     stationary_randomized_probs,
 )
 
@@ -175,36 +172,6 @@ def _mismatch_ages(x: np.ndarray, x_before: np.ndarray, run: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Single frames
-# ---------------------------------------------------------------------------
-
-def _resolve(key: np.ndarray, b_offset: int | None
-             ) -> tuple[int | None, int | None]:
-    """Resolve one contention from its keys (policies.contention_keys).
-
-    The smallest key wins.  In the idealized model (b_offset None) a
-    runner-up equal to it collides.  In the near-realistic model a key k
-    lands in minislot max(B + floor(k), 0); that map is monotone, so the
-    smallest key holds the winning minislot, and the frame collides when
-    the runner-up shares it, i.e. lies below max(floor(k_min), -B) + 1.
-    Only the minimum is discretized, in integers, which agrees with the
-    float grid map wherever that map's arithmetic is exact
-    (|B + k| < 2**53).  Returns the delivered source (None after a
-    collision) and the winning minislot (None in the idealized model).
-    """
-    if len(key) == 1:
-        j, runner_up = 0, math.inf
-    else:
-        j, i = key.argpartition(1)[:2].tolist()
-        runner_up = key[i]
-    k = key[j]
-    if b_offset is None:
-        return (None if runner_up == k else j), None
-    floor_k = -b_offset if k < -b_offset else math.floor(k)
-    return (None if runner_up < floor_k + 1.0 else j), b_offset + floor_k
-
-
-# ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
 
@@ -320,7 +287,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
         rows = min(_FRAMES, cap - frames)
         for r in range(rows):
             if contention:
-                delivered, slot = _resolve(key_now[r], b_offset)
+                delivered, slot = resolve(key_now[r], b_offset)
                 duration = (1.0 if slot is None
                             else 1.0 + slot / slots_per_update)
             else:
@@ -372,7 +339,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     row = key_now[r]
                     k = row.min()
                     tied = (row == k if slot is None
-                            else row < slot - b_offset + 1.0)
+                            else minislots(row, b_offset) == slot)
                     winners = np.flatnonzero(tied).tolist()
                     timer = math.exp(k) if slot is None else slot
                 trace.write(f"frame={frames} min_timer={timer:g} "

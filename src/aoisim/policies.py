@@ -3,10 +3,13 @@
 Every rule is a function of one per-source exponent e_i (see exponents).
 A centralized rule schedules one source per frame: the argmax of e_i, or
 a state-independent draw.  Under distributed contention every source
-draws a backoff timer at rate alpha**e_i and the channel resolves the
-minimum (see engine.run).  RULES says, per PolicyKind, which rule runs,
-which signal the exponent e_i reads and whether timers are compared on
-the minislot grid.
+draws a backoff timer at rate alpha**e_i, which becomes a comparison key
+(contention_keys); in the near-realistic model a key k lands in minislot
+max(B + floor(k), 0) (minislots), and a contention is resolved from its
+keys (resolve).  This module is the one place that rule is written down:
+the engine and the checks call it.  RULES says, per PolicyKind, which
+rule runs, which signal the exponent e_i reads and whether timers are
+compared on the minislot grid.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    BackoffParams,
-    ParameterError,
-    RngStream,
-    aoi_exponents,
-)
+from .core import BackoffParams, ParameterError, RngStream
 
 
 class PolicyKind(Enum):
@@ -64,6 +62,13 @@ RULES = {
     PolicyKind.IDEALIZED_FRESH_CSMA_AOII: Rule("contention", "aoii", False),
     PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII: Rule("contention", "aoii", True),
 }
+
+
+def aoi_exponents(frame_age: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The AoI exponent w_i * age_i**2 per source; its log rate is
+    exponent * ln(alpha)."""
+    age = np.asarray(frame_age, dtype=float)
+    return np.asarray(weights, dtype=float) * age * age
 
 
 def exponents(signal: str | None, frame_age: np.ndarray, weights: np.ndarray,
@@ -119,14 +124,49 @@ def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
     beyond float range still compare correctly.  The idealized model
     compares ln(delta * Z_i), and equal keys tie.  The near-realistic
     model's key is log_beta Z_i = ln Z_i / ln(beta); the timer lands in
-    minislot max(B + floor(key), 0) (discretize_log_timers), and keys in
-    the same minislot tie (see engine._resolve).  out, if given,
-    receives the keys.
+    minislot max(B + floor(key), 0) (minislots), and keys in the same
+    minislot tie (see resolve).  out, if given, receives the keys.
     """
     log_z = np.subtract(log_e, log_rate, out=out)
     if discrete:
         return np.divide(log_z, params.ln_beta, out=out)
     return np.add(math.log(params.delta_scale), log_z, out=out)
+
+
+def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
+    """The minislot max(B + floor(key), 0) of each near-realistic key, as
+    floats.
+
+    The map is monotone, so the smallest key holds the winning minislot.
+    Kept in floats, a key beyond any integer range still lands above
+    every smaller key, and -inf lands in minislot 0.
+    """
+    return np.maximum(b_offset + np.floor(key), 0.0)
+
+
+def resolve(key: np.ndarray, b_offset: int | None
+            ) -> tuple[int | None, int | None]:
+    """Resolve one contention from its keys (contention_keys).
+
+    The smallest key wins.  In the idealized model (b_offset None) a
+    runner-up equal to it collides.  In the near-realistic model the
+    frame collides when the runner-up shares the minimum's minislot,
+    i.e. lies below max(floor(k_min), -B) + 1.  Only the minimum is
+    discretized, in integers, which agrees with minislots wherever its
+    float arithmetic is exact (|B + k| < 2**53).  Returns the delivered
+    source (None after a collision) and the winning minislot (None in the
+    idealized model).
+    """
+    if len(key) == 1:
+        j, runner_up = 0, math.inf
+    else:
+        j, i = key.argpartition(1)[:2].tolist()
+        runner_up = key[i]
+    k = key[j]
+    if b_offset is None:
+        return (None if runner_up == k else j), None
+    floor_k = -b_offset if k < -b_offset else math.floor(k)
+    return (None if runner_up < floor_k + 1.0 else j), b_offset + floor_k
 
 
 def scheduling_probabilities(alpha: "float | np.ndarray",

@@ -21,10 +21,11 @@ from aoisim import (
 from aoisim.analysis import (
     EULER_GAMMA,
     LN_MIN_NORMAL,
+    log_sum_exp,
     overhead_upper_bound_from_log_rate,
 )
 from aoisim.checks import _log_timers
-from aoisim.core import aoi_exponents, discretize_log_timers, log_sum_exp
+from aoisim.policies import aoi_exponents, contention_keys, minislots
 
 
 def gamma0_quadrature(x: float) -> float:
@@ -127,8 +128,9 @@ def test_separation_term_extreme_rates_stay_in_unit_interval():
 def _distinct_share(lri, lrj, params, samples, seed):
     """Monte Carlo share of timer pairs in different minislots, and its
     Laplace-smoothed standard error."""
-    d = discretize_log_timers(_log_timers(RngStream(seed), (lri, lrj), samples),
-                              params)
+    key = contention_keys(_log_timers(RngStream(seed), (lri, lrj), samples),
+                          0.0, params, discrete=True)
+    d = minislots(key, params.b_offset)
     distinct = int(np.count_nonzero(d[0] != d[1]))
     p_smooth = (distinct + 1) / (samples + 2)
     return distinct / samples, math.sqrt(p_smooth * (1 - p_smooth) / samples)
@@ -193,7 +195,8 @@ def test_overhead_bound_sampled_mean_stays_below():
     bound = overhead_upper_bound(ages, weights, params, minislots=True)
     log_z = _log_timers(RngStream(63),
                         aoi_exponents(ages, weights) * params.ln_alpha, 100_000)
-    d = discretize_log_timers(log_z, params).min(axis=0)
+    d = minislots(contention_keys(log_z, 0.0, params, discrete=True),
+                  params.b_offset).min(axis=0)
     assert float(d.mean()) <= bound
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from aoisim import BackoffParams, checks
+from aoisim import BackoffParams, ParameterError, checks
 from aoisim.checks import (
     CHECKS,
     check_distinct_timer_bound,
@@ -18,7 +18,7 @@ from aoisim.checks import (
     check_max_weight_match,
     check_winner_distribution,
 )
-from aoisim.core import discretize_log_timers
+from aoisim.policies import contention_keys, minislots
 
 
 def test_checks_registry_ids():
@@ -59,6 +59,16 @@ def test_idle_time_bound_small():
     assert "PASS" in result.summary()
 
 
+@pytest.mark.parametrize("check", [check_max_weight_match,
+                                   check_max_aoii_match,
+                                   check_drift_dominance])
+def test_checks_reject_fewer_than_two_sources(check):
+    # one source has no argmax set to match and no drift to compare
+    for n in (1, 0):
+        with pytest.raises(ParameterError, match="n must be >= 2"):
+            check(trials=10, n=n)
+
+
 def test_checks_deterministic():
     a = check_drift_dominance(trials=200, seed=5)
     b = check_drift_dominance(trials=200, seed=5)
@@ -91,5 +101,7 @@ def test_discretizing_the_minimum_equals_the_minimum_slot(units, beta, b_offset)
     # column minimum alone
     params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
     log_z = (units - b_offset) * params.ln_beta
-    assert np.array_equal(discretize_log_timers(log_z.min(axis=0), params),
-                          discretize_log_timers(log_z, params).min(axis=0))
+    def slots(log_z):
+        return minislots(contention_keys(log_z, 0.0, params, discrete=True),
+                         b_offset)
+    assert np.array_equal(slots(log_z.min(axis=0)), slots(log_z).min(axis=0))

@@ -1,9 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aoisim
 from aoisim import (
     BackoffParams,
     NetworkConfig,
@@ -14,8 +17,8 @@ from aoisim import (
     recommended_defaults,
     validate_params,
 )
-from aoisim.core import discretize_log_timers, log_sum_exp
-from aoisim.policies import contention_keys
+from aoisim.analysis import log_sum_exp
+from aoisim.policies import contention_keys, minislots
 from reference import AgeState, frame_step
 
 UNIT_DELTA = BackoffParams(alpha=2.0, delta_scale=1.0)
@@ -155,8 +158,15 @@ def test_sample_exponential_rejects_non_finite_rate():
 # Timer discretization
 # ---------------------------------------------------------------------------
 
+def _minislots(log_z, params):
+    """The minislots of ln-timers: their near-realistic keys on the grid."""
+    key = contention_keys(np.asarray(log_z, dtype=float), 0.0, params,
+                          discrete=True)
+    return minislots(key, params.b_offset)
+
+
 def _slot(params, z):
-    return int(discretize_log_timers(np.array([math.log(z)]), params)[0])
+    return int(_minislots([math.log(z)], params)[0])
 
 
 def test_discretize_timer_anchor_values():
@@ -171,7 +181,7 @@ def test_discretize_timer_log_form_agrees():
     # minislot D > 0 holds the timers with beta**(D - B) <= z < beta**(D - B + 1)
     params = BackoffParams(2.0, beta=1.3, b_offset=40)
     z = RngStream(9).exponential_sequence(200)
-    slots = discretize_log_timers(np.log(z), params)
+    slots = _minislots(np.log(z), params)
     for zi, d in zip(z, slots):
         if d > 0:
             assert 1.3 ** (d - 40) <= zi * (1 + 1e-12)
@@ -183,9 +193,9 @@ def test_discretize_monotone_in_z_and_b():
     for beta in (1.05, 1.5, 2.0):
         for b in (0, 10, 100):
             params = BackoffParams(2.0, beta=beta, b_offset=b)
-            timers = discretize_log_timers(np.log(zs), params)
+            timers = _minislots(np.log(zs), params)
             assert np.all(np.diff(timers) >= 0)
-    grid = np.array([discretize_log_timers(
+    grid = np.array([_minislots(
         np.log(zs), BackoffParams(2.0, beta=1.2, b_offset=b))
         for b in (0, 5, 50, 500)])
     assert np.all(np.diff(grid, axis=0) >= 0)
@@ -206,8 +216,8 @@ def test_discretize_beta_monotonicity_splits_at_z_one():
 def test_discretize_log_timers_matches_scalar():
     params = BackoffParams(2.0, beta=1.4, b_offset=25)
     log_z = np.array([-80.0, -3.2, 0.0, 2.7])
-    vec = discretize_log_timers(log_z, params)
-    assert vec.dtype == np.int64
+    vec = _minislots(log_z, params)
+    assert vec.dtype == np.float64
     for lz, d in zip(log_z, vec):
         assert max(25 + math.floor(lz / math.log(1.4)), 0) == d
 
@@ -351,3 +361,14 @@ def test_validate_params_report():
     assert not report_small.match_ok and not report_small.drift_ok
     assert len(report_small.warnings) == 2
     assert report_small.recommended.alpha == pytest.approx(1.1)
+
+
+def test_readme_export_table_equals_all():
+    # README's "The package exports" table lists exactly aoisim.__all__
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("The package exports:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = table.splitlines()[2:]
+    names = [name for row in rows
+             for name in re.findall(r"`(\w+)`", row.split("|")[2])]
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(aoisim.__all__)

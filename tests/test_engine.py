@@ -13,9 +13,9 @@ from aoisim import (
     RngStream,
     run,
 )
-from aoisim.core import discretize_log_timers
-from aoisim.engine import _BLOCK, _FRAMES, _resolve, _trajectory
-from aoisim.policies import argmax_decide, contention_keys, exponents
+from aoisim import policies
+from aoisim.engine import _BLOCK, _FRAMES, _trajectory
+from aoisim.policies import argmax_decide, contention_keys, exponents, minislots
 import reference
 from reference import AgeState, MarkovNetState, advance, frame_step, resolve
 
@@ -134,14 +134,16 @@ def test_resolve_from_minimum_equals_discretized_keys(units, beta, b_offset):
     # of discretizing every timer, then argmin and a tie count
     params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
     log_z = np.array(units) * params.ln_beta - b_offset * params.ln_beta
-    slots = discretize_log_timers(log_z, params)
+    key = contention_keys(log_z, 0.0, params, discrete=True)
+    slots = minislots(key, b_offset)
     j = int(slots.argmin())
     ties = slots == slots[j]
-    delivered, tied, slot = resolve(
-        contention_keys(log_z, 0.0, params, discrete=True), params)
+    expected = j if np.count_nonzero(ties) == 1 else None
+    delivered, tied, slot = resolve(key, params)
     assert slot == slots[j]
     assert tied.tolist() == ties.tolist()
-    assert delivered == (j if np.count_nonzero(ties) == 1 else None)
+    assert delivered == expected
+    assert policies.resolve(key, b_offset) == (expected, slots[j])
 
 
 @settings(max_examples=300, deadline=None)
@@ -154,7 +156,7 @@ def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset, discrete):
     # alone; that is the mask of tied sources having two or more members
     params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
     key = np.array(units)
-    delivered, slot = _resolve(key, b_offset if discrete else None)
+    delivered, slot = policies.resolve(key, b_offset if discrete else None)
     expected, tied, expected_slot = resolve(key, params if discrete else None)
     assert (delivered, slot) == (expected, expected_slot)
     assert key.tolist() == units  # the row is left as it was

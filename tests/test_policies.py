@@ -13,9 +13,16 @@ from aoisim import (
     scheduling_probabilities,
     stationary_randomized_probs,
 )
-from aoisim.core import aoi_exponents, discretize_log_timers
-from aoisim.engine import _resolve, substreams
-from aoisim.policies import RULES, argmax_decide, contention_keys, exponents
+from aoisim.engine import substreams
+from aoisim.policies import (
+    RULES,
+    aoi_exponents,
+    argmax_decide,
+    contention_keys,
+    exponents,
+    minislots,
+    resolve,
+)
 
 
 def _log_rates(frame_age, weights, alpha):
@@ -193,10 +200,21 @@ def test_fresh_csma_near_realistic_returns_minislots():
     log_e = _log_e(3, 1, 8)[0]
     log_rate = _log_rates([1, 2, 3], np.ones(3), 1.5)
     keys = contention_keys(log_e, log_rate, params, discrete=True)
-    slots = discretize_log_timers(log_e - log_rate, params)
-    np.testing.assert_array_equal(np.maximum(50 + np.floor(keys), 0), slots)
+    slots = minislots(keys, params.b_offset)
+    np.testing.assert_array_equal(
+        slots, [max(50 + math.floor((le - lr) / math.log(1.2)), 0)
+                for le, lr in zip(log_e, log_rate)])
     assert np.all(slots >= 0)
-    assert _resolve(keys, params.b_offset)[1] == slots.min()
+    assert resolve(keys, params.b_offset)[1] == slots.min()
+
+
+def test_minislots_keep_keys_beyond_integer_range_in_order():
+    # a key past the int64 range lands above a smaller one, with no
+    # numpy cast warning (the suite turns RuntimeWarning into an error)
+    slots = minislots(np.array([1e300, 5.0]), 250)
+    assert slots.tolist() == [1e300, 255.0]
+    assert slots[0] > slots[1]
+    assert minislots(np.array([-math.inf, -300.0]), 250).tolist() == [0.0, 0.0]
 
 
 def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
