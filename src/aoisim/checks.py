@@ -55,12 +55,13 @@ class CheckResult:
                 f"over {self.trials} trials ({self.detail})")
 
 
-def _state_stream(seed: int, **counts: int) -> RngStream:
+def _state_stream(seed: int, least_n: int = 2, **counts: int) -> RngStream:
     """The stream random states are drawn from, once every trial and
-    sample count is at least 1 and the source count n at least 2 (one
-    source has no contention and no argmax set to check)."""
+    sample count is at least 1 and the source count n at least least_n
+    (one source has no argmax set to match and no drift to compare, but
+    its idle time is still bounded)."""
     for name, count in counts.items():
-        least = 2 if name == "n" else 1
+        least = least_n if name == "n" else 1
         if count < least:
             raise ParameterError(f"{name} must be >= {least}, got {count}")
     return RngStream(seed, (2,))
@@ -229,7 +230,8 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
                           n: int = 10, seed: int = DEFAULT_SEED) -> CheckResult:
     """Sampled mean winning timer stays below the closed-form idle-time
     bound at random states."""
-    stream = _state_stream(seed, trials=trials, samples=samples)
+    stream = _state_stream(seed, least_n=1, trials=trials, samples=samples,
+                           n=n)
     worst = math.inf
     for _ in range(trials):
         ages = np.array([1 + stream.integer(10) for _ in range(n)])

@@ -166,7 +166,10 @@ class BackoffParams:
     minislots_per_update (M) is the update transmission length in
     minislots.  delta_scale only rescales the continuous idealized
     timers; it cannot change which timer is smallest, and is carried for
-    protocol fidelity and trace output.
+    protocol fidelity and trace output.  ln_alpha, ln_beta and
+    ln_delta_scale are their natural logs, taken once at construction;
+    they are not fields, so repr, equality and hashing see the five
+    parameters alone.
     """
 
     alpha: float
@@ -188,14 +191,9 @@ class BackoffParams:
         if not 0.0 < self.delta_scale <= 1.0:
             raise ParameterError(
                 f"delta_scale must be in (0, 1], got {self.delta_scale}")
-
-    @property
-    def ln_alpha(self) -> float:
-        return math.log(self.alpha)
-
-    @property
-    def ln_beta(self) -> float:
-        return math.log(self.beta)
+        object.__setattr__(self, "ln_alpha", math.log(self.alpha))
+        object.__setattr__(self, "ln_beta", math.log(self.beta))
+        object.__setattr__(self, "ln_delta_scale", math.log(self.delta_scale))
 
 
 # ---------------------------------------------------------------------------

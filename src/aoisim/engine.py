@@ -16,7 +16,14 @@ true states against an estimate that does not move, so at a block's
 start the exponents and contention keys of all its frames are formed at
 once, as if nobody delivered.  A delivery changes the delivered source's
 state only, so it patches that source's column for the rest of the
-block; each frame is then resolved from its row alone.
+block; each frame is then resolved from its row alone.  A collision
+changes nothing, so once two frames in a row collide, the rows up to
+the next delivery are settled in one pass (policies.resolve_rows).  The
+loop records only each frame's delivered source and minislot; once per
+block these give the frame, overhead and elapsed-time totals, the clock
+ages and their integral (_clock_ages) and the trace lines.  Every float
+sum runs in frame order, through np.add.accumulate, so each value is the
+one frame-by-frame additions give.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .policies import (
     exponents,
     minislots,
     resolve,
+    resolve_rows,
     stationary_randomized_probs,
 )
 
@@ -171,6 +179,44 @@ def _mismatch_ages(x: np.ndarray, x_before: np.ndarray, run: np.ndarray,
     return ages, length
 
 
+def _clock_ages(age: np.ndarray, integral: np.ndarray, durations: np.ndarray,
+                won: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The near-realistic clock ages and their integral after a block.
+
+    age and integral enter the block; its frames last durations and
+    deliver won (-1 after a collision).  Each frame adds its duration
+    times the ages at its start to the integral, then adds its duration
+    to every age.  A delivery restarts its source's age at the frame's
+    duration: the update was generated at the frame start, so the
+    monitor's information is one frame-duration old.  The sums run in
+    frame order through np.add.accumulate, one restart chain per
+    delivery, so every float is the one frame-by-frame additions give.
+    """
+    k, n = len(durations), len(age)
+    ages = np.empty((k + 1, n))
+    ages[0] = age
+    ages[1:] = durations[:, None]
+    np.add.accumulate(ages, axis=0, out=ages)
+    if max(won) >= 0:
+        won = np.asarray(won)
+        rows = np.flatnonzero(won >= 0)
+        # Chain m + 1 holds the durations from delivery m's row on, after
+        # zeros, which leave its sums exact; sel picks each source's
+        # latest chain, 0 for none.
+        chains = np.zeros((len(rows) + 1, k))
+        np.copyto(chains[1:], durations, where=np.arange(k) >= rows[:, None])
+        np.add.accumulate(chains, axis=1, out=chains)
+        sel = np.zeros((k, n), dtype=np.intp)
+        sel[rows, won[rows]] = np.arange(1, len(rows) + 1)
+        np.maximum.accumulate(sel, axis=0, out=sel)
+        np.copyto(ages[1:], chains[sel, np.arange(k)[:, None]], where=sel > 0)
+    terms = np.empty_like(ages)
+    terms[0] = integral
+    np.multiply(ages[:k], durations[:, None], out=terms[1:])
+    np.add.accumulate(terms, axis=0, out=terms)
+    return ages[k], terms[k]
+
+
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
@@ -236,8 +282,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
         cdf = np.cumsum(stationary_randomized_probs(config.weights)).tolist()
     if discrete:
         # Wall-clock ages sampled at frame starts, weighted by the frame's
-        # duration: their rounding depends on the path, so they move
-        # frame by frame.
+        # duration (see _clock_ages).
         clock_age = np.ones(n)
         clock_age_integral = np.zeros(n)
 
@@ -252,6 +297,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
 
     frames = deliveries = overhead_minislots = 0
     elapsed = 0.0
+    after_collision = False
     while (deliveries if by_deliveries else frames) < target:
         if frames >= cap:
             raise RuntimeError(
@@ -285,24 +331,41 @@ def run(config: NetworkConfig, kind: PolicyKind,
 
         first = frames
         rows = min(_FRAMES, cap - frames)
-        for r in range(rows):
+        # What each frame decided: its delivered source, -1 after a
+        # collision, and on the minislot grid its winning minislot.  The
+        # totals, clock ages and trace lines follow from these once the
+        # block is done.
+        won, slots = [], []
+        r = 0
+        while r < rows:
             if contention:
                 delivered, slot = resolve(key_now[r], b_offset)
-                duration = (1.0 if slot is None
-                            else 1.0 + slot / slots_per_update)
+                if delivered is None and after_collision:
+                    # A collision changes no key, so the rows after it
+                    # stand as formed up to the next delivery: once two
+                    # frames in a row collide, settle the run in one
+                    # pass and go on at its delivering row.
+                    run_won, run_slots = resolve_rows(key_now[r:rows],
+                                                      b_offset)
+                    # row r collided, so argmax is 0 when none delivers
+                    hit = int((run_won >= 0).argmax()) or len(run_won)
+                    won += [-1] * hit
+                    if discrete:
+                        slots += run_slots[:hit].tolist()
+                    r += hit
+                    if r == rows:
+                        break
+                    delivered = int(run_won[hit])
+                    slot = int(run_slots[hit]) if discrete else None
+                after_collision = delivered is None
             else:
                 delivered = (argmax_decide(exponent_now[r], decision)
                              if decide == "argmax"
                              else min(bisect.bisect_right(cdf, decision.uniform()),
                                       n - 1))
-                slot, duration = None, 1.0
+            won.append(-1 if delivered is None else delivered)
             if discrete:
-                clock_age_integral += clock_age * duration
-                clock_age += duration
-            frames += 1
-            elapsed += duration
-            if slot is not None:
-                overhead_minislots += slot
+                slots.append(slot)
             if delivered is not None:
                 deliveries += 1
                 j = delivered
@@ -310,11 +373,6 @@ def run(config: NetworkConfig, kind: PolicyKind,
                 m = t - last[j]
                 frame_age_sum[j] += m * (m + 1) // 2
                 last[j] = t
-                if discrete:
-                    # The delivered update was generated at the frame
-                    # start, so the monitor's information is exactly one
-                    # frame-duration old.
-                    clock_age[j] = duration
                 rest = slice(r + 1, _FRAMES)
                 if signal == "frame_age":
                     ahead = slice(1, _FRAMES - r)
@@ -332,26 +390,41 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     mismatch[2, r + 1:, j] = mismatch[v, r + 1:, j]
                     if contention and signal == "aoii":
                         key[2, rest, j] = key[v, rest, j]
-            if trace is not None:
-                if not contention:
-                    winners, timer = [delivered], 0.0
-                else:
-                    row = key_now[r]
-                    k = row.min()
-                    tied = (row == k if slot is None
-                            else minislots(row, b_offset) == slot)
-                    winners = np.flatnonzero(tied).tolist()
-                    timer = math.exp(k) if slot is None else slot
-                trace.write(f"frame={frames} min_timer={timer:g} "
-                            f"winners={','.join(map(str, winners))} "
-                            f"collided={int(delivered is None)} "
-                            f"delivered={'-' if delivered is None else delivered} "
-                            f"duration={duration:.6f}\n")
+            r += 1
             if by_deliveries and deliveries == target:
                 break
 
+        done = r
+        frames += done
+        if discrete:
+            steps = np.array([elapsed]
+                             + [1.0 + s / slots_per_update for s in slots])
+            elapsed = np.add.accumulate(steps)[-1].item()
+            durations = steps[1:]
+            overhead_minislots += sum(slots)
+            clock_age, clock_age_integral = _clock_ages(
+                clock_age, clock_age_integral, durations, won)
+        else:
+            # unit frames: every partial sum is an exact integer
+            elapsed += done
+        if trace is not None:
+            for r, j in enumerate(won):
+                if not contention:
+                    winners, timer = [j], 0.0
+                else:
+                    row = key_now[r]
+                    k = row.min()
+                    tied = (minislots(row, b_offset) == slots[r] if discrete
+                            else row == k)
+                    winners = np.flatnonzero(tied).tolist()
+                    timer = slots[r] if discrete else math.exp(k)
+                duration = durations[r] if discrete else 1.0
+                trace.write(f"frame={first + r + 1} min_timer={timer:g} "
+                            f"winners={','.join(map(str, winners))} "
+                            f"collided={int(j < 0)} "
+                            f"delivered={'-' if j < 0 else j} "
+                            f"duration={duration:.6f}\n")
         if markov_q is not None:
-            done = frames - first
             aoii_sum += aoii_now[1:done + 1].sum(axis=0)
             x_before, run = x[done - 1].copy(), runs[done - 1]
 

@@ -130,7 +130,7 @@ def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
     log_z = np.subtract(log_e, log_rate, out=out)
     if discrete:
         return np.divide(log_z, params.ln_beta, out=out)
-    return np.add(math.log(params.delta_scale), log_z, out=out)
+    return np.add(params.ln_delta_scale, log_z, out=out)
 
 
 def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
@@ -167,6 +167,36 @@ def resolve(key: np.ndarray, b_offset: int | None
         return (None if runner_up == k else j), None
     floor_k = -b_offset if k < -b_offset else math.floor(k)
     return (None if runner_up < floor_k + 1.0 else j), b_offset + floor_k
+
+
+def resolve_rows(keys: np.ndarray, b_offset: int | None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """resolve applied to each row of keys, shape (contentions, sources),
+    in one pass.
+
+    Returns the delivered source per row, -1 after a collision, and the
+    winning minislots as integers (None in the idealized model).  The
+    rule is resolve's, in floats: they are exact while B and every
+    minislot stay below 2**53.  Past that resolve works in Python
+    integers, so those rows are resolved by resolve itself.
+    """
+    if keys.shape[1] == 1:
+        k, runner_up = keys[:, 0], math.inf
+    else:
+        k, runner_up = np.partition(keys, 1, axis=1)[:, :2].T
+    # a row delivers only with a unique minimum, so any argmin is the winner
+    winner = keys.argmin(axis=1)
+    if b_offset is None:
+        return np.where(runner_up == k, -1, winner), None
+    if b_offset < 2**53:
+        floor_k = np.maximum(np.floor(k), -b_offset)
+        slot = b_offset + floor_k
+        if slot.max() < 2**53:
+            return (np.where(runner_up < floor_k + 1.0, -1, winner),
+                    slot.astype(np.int64))
+    rows = [resolve(row, b_offset) for row in keys]
+    return (np.array([-1 if j is None else j for j, _ in rows]),
+            np.array([s for _, s in rows], dtype=object))
 
 
 def scheduling_probabilities(alpha: "float | np.ndarray",

@@ -69,6 +69,13 @@ def test_checks_reject_fewer_than_two_sources(check):
             check(trials=10, n=n)
 
 
+def test_idle_time_bound_needs_one_source():
+    # a lone source always wins, so its idle time is still bounded
+    with pytest.raises(ParameterError, match="n must be >= 1"):
+        check_idle_time_bound(trials=2, samples=1000, n=0)
+    assert check_idle_time_bound(trials=2, samples=1000, n=1).ok
+
+
 def test_checks_deterministic():
     a = check_drift_dominance(trials=200, seed=5)
     b = check_drift_dominance(trials=200, seed=5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -285,6 +286,25 @@ def test_backoff_params_validation():
         BackoffParams(alpha=2.0, minislots_per_update=0)
     with pytest.raises(ParameterError):
         BackoffParams(alpha=2.0, delta_scale=0.0)
+
+
+def test_backoff_params_logs_leave_repr_eq_and_hash_alone():
+    # tests/regression_pins.json stores the repr; the logs taken at
+    # construction are attributes, not fields
+    params = BackoffParams(alpha=1.5, beta=1.2, b_offset=7,
+                           minislots_per_update=100, delta_scale=0.5)
+    assert repr(params) == ("BackoffParams(alpha=1.5, beta=1.2, b_offset=7, "
+                            "minislots_per_update=100, delta_scale=0.5)")
+    assert [f.name for f in dataclasses.fields(params)] == [
+        "alpha", "beta", "b_offset", "minislots_per_update", "delta_scale"]
+    assert params == BackoffParams(1.5, 1.2, 7, 100, 0.5)
+    assert hash(params) == hash((1.5, 1.2, 7, 100, 0.5))
+    assert params != BackoffParams(1.5, 1.2, 7, 100, 0.25)
+    assert (params.ln_alpha, params.ln_beta, params.ln_delta_scale) == (
+        math.log(1.5), math.log(1.2), math.log(0.5))
+    moved = dataclasses.replace(params, alpha=3.0, beta=2.0, delta_scale=1.0)
+    assert (moved.ln_alpha, moved.ln_beta, moved.ln_delta_scale) == (
+        math.log(3.0), math.log(2.0), 0.0)
 
 
 def test_age_state_initial():

@@ -14,7 +14,7 @@ from aoisim import (
     run,
 )
 from aoisim import policies
-from aoisim.engine import _BLOCK, _FRAMES, _trajectory
+from aoisim.engine import _BLOCK, _FRAMES, _clock_ages, _trajectory
 from aoisim.policies import argmax_decide, contention_keys, exponents, minislots
 import reference
 from reference import AgeState, MarkovNetState, advance, frame_step, resolve
@@ -162,6 +162,49 @@ def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset, discrete):
     assert key.tolist() == units  # the row is left as it was
 
 
+# Keys around the slot-0 edge and slot boundaries at small B, -inf, keys
+# far below the edge, and keys around 2**53 and past the int64 range.
+_ROW_KEYS = st.one_of(
+    st.floats(-12.0, 4.0), st.integers(-12, 4).map(float), st.just(-math.inf),
+    st.floats(-1e300, -1e3),
+    st.sampled_from([2.0**53 - 3, 2.0**53, 2.0**53 + 2, -2.0**53, 2.0**63,
+                     -1e19, 1e19, 1e300]))
+
+
+@st.composite
+def _key_rows(draw):
+    """A (rows, sources) block whose cells often repeat a few values, so
+    rows tie at the minimum."""
+    n, rows = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = draw(st.lists(_ROW_KEYS, min_size=1, max_size=3))
+    cell = st.one_of(st.sampled_from(pool), _ROW_KEYS)
+    return np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                  min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(keys=_key_rows(),
+       b_offset=st.sampled_from([None, 0, 1, 3, 250, 2**53 - 5, 2**53,
+                                 2**53 + 3, 2**60]))
+def test_resolve_rows_equals_resolve_on_every_row(keys, b_offset):
+    # the one-pass form gives resolve's winner and minislot on every row,
+    # the minislots as exact Python integers even past 2**53, so the
+    # durations and the overhead formed from them are resolve's too
+    won, slots = policies.resolve_rows(keys, b_offset)
+    expected = [policies.resolve(row, b_offset) for row in keys]
+    assert [None if j < 0 else j for j in won.tolist()] == [
+        j for j, _ in expected]
+    if b_offset is None:
+        assert slots is None
+        return
+    got, want = slots.tolist(), [s for _, s in expected]
+    assert got == want
+    assert all(type(s) is int for s in got)
+    for m in (M, 2**55 + 1):
+        assert [1.0 + s / m for s in got] == [1.0 + s / m for s in want]
+    assert sum(got) == sum(want)
+
+
 # ---------------------------------------------------------------------------
 # Markov frames
 # ---------------------------------------------------------------------------
@@ -257,6 +300,47 @@ def test_idealized_age_conservation_per_frame():
         assert ages.frame_age.min() >= 1
         outcomes.add(j is None)
     assert outcomes == {True, False}
+
+
+def _clock_ages_by_frame(age, integral, durations, won):
+    """The three per-frame additions the block form replaces."""
+    age, integral = age.copy(), integral.copy()
+    for duration, j in zip(durations.tolist(), won):
+        integral += age * duration
+        age += duration
+        if j >= 0:
+            age[j] = duration
+    return age, integral
+
+
+def _assert_block_clock_ages(age, integral, durations, won):
+    expected = _clock_ages_by_frame(age, integral, durations, won)
+    got = _clock_ages(age, integral, durations, won)
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1].tobytes() == expected[1].tobytes()
+
+
+def test_block_clock_ages_restart_at_first_and_last_rows():
+    # source 0 restarts at the first row and source 2 three times, the
+    # last at the block's last row
+    durations = np.array([1.0 + s / 7 for s in (3, 0, 5, 1, 6, 2, 4)])
+    _assert_block_clock_ages(np.array([3.5, 1.25, 7.0]),
+                             np.array([0.1, 2.0, 9.0]), durations,
+                             [0, 2, -1, 2, -1, 1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, _FRAMES))
+def test_block_clock_ages_equal_per_frame_additions(data, n, k):
+    # bit for bit, wherever the block restarts its sources
+    def draw_list(elements, size):
+        return data.draw(st.lists(elements, min_size=size, max_size=size))
+
+    slots = draw_list(st.integers(0, 3 * M), k)
+    durations = np.array([1.0 + s / M for s in slots])
+    _assert_block_clock_ages(np.array(draw_list(st.floats(1.0, 1e4), n)),
+                             np.array(draw_list(st.floats(0.0, 1e9), n)),
+                             durations, draw_list(st.integers(-1, n - 1), k))
 
 
 def test_run_duration_accounting(run_fresh_near_realistic, run_max_weight):
@@ -444,3 +528,53 @@ def test_run_equals_reference_frame_loop(case):
     assert result == expected
     assert trace == expected_trace
     assert _outcome(run, *case, traced=False)[0] == expected
+
+
+# Deterministic cases of the one-pass collision runs.  At seed 44 these
+# four sources collide in about a third of the frames: frames 231-232
+# form a run that ends inside its block, and frames 1019-1030 one that
+# crosses the 1024-frame draw block.  At seed 5 the 100-frame cap falls
+# inside a run that starts after deliveries in the last block.
+_MIXED = BackoffParams(alpha=1.1, beta=1.3, b_offset=30)
+_HEAVY = BackoffParams(alpha=1.1, beta=1.1, b_offset=45)
+_NR = PolicyKind.NEAR_REALISTIC_FRESH_CSMA
+_CASES = {
+    "run ends mid-block": (NetworkConfig(4, (1.0,) * 4, 300, 44), _NR,
+                           _MIXED, {}),
+    "run crosses a draw block": (NetworkConfig(4, (1.0,) * 4, 1100, 44), _NR,
+                                 _MIXED, {}),
+    "cap inside a run": (NetworkConfig(4, (1.0,) * 4, 500, 5), _NR, _HEAVY,
+                         dict(horizon_unit="deliveries", max_frames=100)),
+    "near-realistic AoII": (NetworkConfig(5, (1.0,) * 5, 1100, 3),
+                            PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII,
+                            BackoffParams(alpha=2.1, beta=1.3, b_offset=8),
+                            dict(markov_q=0.1)),
+}
+
+
+def _collided(trace):
+    return [" collided=1 " in line for line in trace.splitlines()]
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_collision_runs_equal_reference_frame_loop(name):
+    case = _CASES[name]
+    expected, expected_trace = _outcome(reference.run, *case, traced=True)
+    result, trace = _outcome(run, *case, traced=True)
+    assert result == expected
+    assert trace == expected_trace
+    assert _outcome(run, *case, traced=False)[0] == expected
+    collided = _collided(trace)
+    # each case holds the collision run it is named for
+    ends = [f for f in range(2, len(collided))
+            if collided[f - 2] and collided[f - 1] and not collided[f]]
+    if name == "run ends mid-block":
+        assert any(f % _FRAMES for f in ends)
+    elif name == "run crosses a draw block":
+        assert all(collided[_BLOCK - 2:_BLOCK + 2])
+    elif name == "cap inside a run":
+        assert result == "frame cap" and len(collided) == 100
+        last_block = collided[_FRAMES:]
+        assert last_block[-3:] == [True] * 3 and not all(last_block)
+    else:
+        assert 0.2 < result.collision_rate < 0.9 and ends
