@@ -35,10 +35,13 @@ def upper_incomplete_gamma_zero(x: float) -> float:
 
     Series expansion below x = 1, Lentz continued fraction above; both
     converge to full double precision, comfortably inside the 1e-10
-    relative target.  Diverges as -ln(x) - euler_gamma for x -> 0+.
+    relative target.  Diverges as -ln(x) - euler_gamma for x -> 0+, and
+    Gamma(0, inf) is 0.
     """
     if not x > 0:
         raise ParameterError(f"Gamma(0, x) needs x > 0, got {x}")
+    if x == math.inf:
+        return 0.0
     if x <= 1.0:
         return _gamma0_series(x)
     return _gamma0_continued_fraction(x)

@@ -90,15 +90,18 @@ class RngStream:
         """The next n terms of this stream's exp(1) sequence.
 
         Term k is -log1p(-u) of the stream's k-th non-zero uniform, so the
-        sequence does not depend on how it is split into calls.  Each
-        term goes through math.log1p: numpy's vector log1p can differ from
-        it in the last bit, which would move float ties between timers.
+        sequence does not depend on how it is split into calls.  numpy's
+        inverse-CDF sampler takes the same uniforms random() would and
+        calls the C library's log1p per term, as math.log1p does: numpy's
+        vector log1p can differ from it in the last bit, which would move
+        float ties between timers.  A term of 0.0 is a zero uniform.
         """
-        u = self._gen.random(n)
-        while not u.all():
-            u = u[u != 0.0]
-            u = np.concatenate([u, self._gen.random(n - len(u))])
-        return -np.fromiter(map(math.log1p, (-u).tolist()), float, n)
+        e = self._gen.standard_exponential(n, method="inv")
+        while not e.all():
+            e = e[e != 0.0]
+            e = np.concatenate(
+                [e, self._gen.standard_exponential(n - len(e), method="inv")])
+        return e
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -117,6 +120,20 @@ class RngStream:
 # Configuration types
 # ---------------------------------------------------------------------------
 
+def _checked_weights(n_sources: int, weights: Sequence[float]
+                     ) -> tuple[float, ...]:
+    """n_sources >= 1 weights as floats, each positive and finite."""
+    if n_sources < 1:
+        raise ParameterError(f"n_sources must be >= 1, got {n_sources}")
+    weights = tuple(float(w) for w in weights)
+    if len(weights) != n_sources:
+        raise ParameterError(f"need {n_sources} weights, got {len(weights)}")
+    if any(not 0 < w < math.inf for w in weights):
+        raise ParameterError(
+            f"weights must be positive and finite, got {weights}")
+    return weights
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Static description of one single-hop network run.
@@ -133,15 +150,8 @@ class NetworkConfig:
     theorem_exact: bool = False
 
     def __post_init__(self):
-        if self.n_sources < 1:
-            raise ParameterError(f"n_sources must be >= 1, got {self.n_sources}")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if len(self.weights) != self.n_sources:
-            raise ParameterError(
-                f"need {self.n_sources} weights, got {len(self.weights)}")
-        if any(not 0 < w < math.inf for w in self.weights):
-            raise ParameterError(
-                f"weights must be positive and finite, got {self.weights}")
+        object.__setattr__(self, "weights",
+                           _checked_weights(self.n_sources, self.weights))
         if self.horizon_frames < 1:
             raise ParameterError(f"horizon_frames must be >= 1, got {self.horizon_frames}")
         if not 0 <= self.seed <= _SEED_MASK:
@@ -181,10 +191,15 @@ class BackoffParams:
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:
             raise ParameterError(f"alpha must be finite and > 1, got {self.alpha}")
-        if not 1.0 < self.beta < math.inf:
-            raise ParameterError(f"beta must be finite and > 1, got {self.beta}")
-        if self.b_offset < 0:
-            raise ParameterError(f"b_offset must be >= 0, got {self.b_offset}")
+        # The domain where every minislot is exact in floats: an exp(1) draw
+        # from a 53-bit uniform is at most 53 ln 2 and a rate at least 1, so
+        # a key ln(Z) / ln(beta) is at most ln(53 ln 2) / ln(beta) ~ 3.96e12
+        # and B + floor(key) stays below 2**53.  beta itself is compared so
+        # that the stated edge is accepted.
+        if not 1.0 + 2**-40 <= self.beta < math.inf:
+            raise ParameterError(f"beta must be finite and >= 1 + 2**-40, got {self.beta}")
+        if not 0 <= self.b_offset <= 2**52:
+            raise ParameterError(f"b_offset must be in [0, 2**52], got {self.b_offset}")
         if self.minislots_per_update < 1:
             raise ParameterError(
                 f"minislots_per_update must be >= 1, got {self.minislots_per_update}")
@@ -248,9 +263,9 @@ def recommended_defaults(n_sources: int, weights: Sequence[float], *,
     where the collision rate bottoms out; pass math.e for a natural-log
     sensitivity check (it yields markedly coarser minislot grids).
     """
-    if n_sources < 1:
-        raise ParameterError(f"n_sources must be >= 1, got {n_sources}")
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(_checked_weights(n_sources, weights))
+    if not 1.0 < log_base < math.inf:
+        raise ParameterError(f"log_base must be finite and > 1, got {log_base}")
 
     def _log(x: float) -> float:
         return math.log(x, log_base)

@@ -137,9 +137,9 @@ def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
     """The minislot max(B + floor(key), 0) of each near-realistic key, as
     floats.
 
-    The map is monotone, so the smallest key holds the winning minislot.
-    Kept in floats, a key beyond any integer range still lands above
-    every smaller key, and -inf lands in minislot 0.
+    The map is monotone, so the smallest key holds the winning minislot,
+    and -inf lands in minislot 0.  Every minislot is exact within
+    BackoffParams' domain.
     """
     return np.maximum(b_offset + np.floor(key), 0.0)
 
@@ -152,10 +152,10 @@ def resolve(key: np.ndarray, b_offset: int | None
     runner-up equal to it collides.  In the near-realistic model the
     frame collides when the runner-up shares the minimum's minislot,
     i.e. lies below max(floor(k_min), -B) + 1.  Only the minimum is
-    discretized, in integers, which agrees with minislots wherever its
-    float arithmetic is exact (|B + k| < 2**53).  Returns the delivered
-    source (None after a collision) and the winning minislot (None in the
-    idealized model).
+    discretized; within BackoffParams' domain that is exact and agrees
+    with minislots.  Returns the delivered source (None after a
+    collision) and the winning minislot as an int (None in the idealized
+    model).
     """
     if len(key) == 1:
         j, runner_up = 0, math.inf
@@ -165,7 +165,8 @@ def resolve(key: np.ndarray, b_offset: int | None
     k = key[j]
     if b_offset is None:
         return (None if runner_up == k else j), None
-    floor_k = -b_offset if k < -b_offset else math.floor(k)
+    # max(floor(k), -B), clamped first: -B is an integer, -inf has no int floor
+    floor_k = math.floor(max(k, -b_offset))
     return (None if runner_up < floor_k + 1.0 else j), b_offset + floor_k
 
 
@@ -176,9 +177,8 @@ def resolve_rows(keys: np.ndarray, b_offset: int | None
 
     Returns the delivered source per row, -1 after a collision, and the
     winning minislots as integers (None in the idealized model).  The
-    rule is resolve's, in floats: they are exact while B and every
-    minislot stay below 2**53.  Past that resolve works in Python
-    integers, so those rows are resolved by resolve itself.
+    rule is resolve's, in floats, which are exact within BackoffParams'
+    domain.
     """
     if keys.shape[1] == 1:
         k, runner_up = keys[:, 0], math.inf
@@ -188,15 +188,9 @@ def resolve_rows(keys: np.ndarray, b_offset: int | None
     winner = keys.argmin(axis=1)
     if b_offset is None:
         return np.where(runner_up == k, -1, winner), None
-    if b_offset < 2**53:
-        floor_k = np.maximum(np.floor(k), -b_offset)
-        slot = b_offset + floor_k
-        if slot.max() < 2**53:
-            return (np.where(runner_up < floor_k + 1.0, -1, winner),
-                    slot.astype(np.int64))
-    rows = [resolve(row, b_offset) for row in keys]
-    return (np.array([-1 if j is None else j for j, _ in rows]),
-            np.array([s for _, s in rows], dtype=object))
+    floor_k = np.maximum(np.floor(k), -b_offset)
+    return (np.where(runner_up < floor_k + 1.0, -1, winner),
+            (b_offset + floor_k).astype(np.int64))
 
 
 def scheduling_probabilities(alpha: "float | np.ndarray",

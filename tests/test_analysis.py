@@ -66,6 +66,13 @@ def test_gamma_zero_large_argument_envelope():
         gamma0_quadrature(10.0), rel=1e-10)
 
 
+def test_gamma_zero_at_infinity_is_zero():
+    # as scipy's E1; the continued fraction used not to converge there
+    from scipy.special import exp1
+
+    assert upper_incomplete_gamma_zero(math.inf) == 0.0 == exp1(math.inf)
+
+
 def test_gamma_zero_domain_error():
     with pytest.raises(ParameterError):
         upper_incomplete_gamma_zero(0.0)

@@ -176,6 +176,16 @@ def test_sweep_fractional_integer_values_exit_2(param, values, tmp_path,
     assert not out.exists()
 
 
+def test_sweep_b_offset_past_the_domain_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(cfg), "--param", "b_offset",
+                 "--values", "9007199254740995", "--output", str(out)]) == 2
+    assert "2**52" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_empty_config_reports_missing_policies(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")

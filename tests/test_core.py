@@ -35,6 +35,11 @@ class ScriptedGenerator:
         out, self.values = self.values[:n], self.values[n:]
         return np.array(out)
 
+    def standard_exponential(self, n, method):
+        # numpy's inverse-CDF method maps -log1p(-u) over the uniforms
+        assert method == "inv"
+        return np.array([-math.log1p(-u) for u in self.random(n)])
+
 
 def _scripted(values):
     stream = RngStream(0)
@@ -288,6 +293,15 @@ def test_backoff_params_validation():
         BackoffParams(alpha=2.0, delta_scale=0.0)
 
 
+def test_backoff_params_reject_values_outside_the_domain():
+    # B = 2**53 + 3 once made resolve return minislot -1; both errors
+    # name the bound
+    with pytest.raises(ParameterError, match=r"2\*\*52"):
+        BackoffParams(alpha=1.5, beta=1.3, b_offset=2**53 + 3)
+    with pytest.raises(ParameterError, match=r"1 \+ 2\*\*-40"):
+        BackoffParams(alpha=1.5, beta=1.0 + 2**-41)
+
+
 def test_backoff_params_logs_leave_repr_eq_and_hash_alone():
     # tests/regression_pins.json stores the repr; the logs taken at
     # construction are attributes, not fields
@@ -368,6 +382,18 @@ def test_recommended_aoii_variant():
     assert params.b_offset == 252
 
 
+@pytest.mark.parametrize("n, weights, log_base", [
+    (3, (1.0,), 10.0),             # too few weights
+    (3, (1.0, -1.0, 2.0), 10.0),   # a negative weight
+    (3, (), 10.0),                 # no weights
+    (2, (1.0, 1.0), 1.0),          # a log base without logarithms
+    (2, (1.0, 1.0), 0.5),
+])
+def test_recommended_defaults_rejects_bad_input(n, weights, log_base):
+    with pytest.raises(ParameterError):
+        recommended_defaults(n, weights, log_base=log_base)
+
+
 def test_validate_params_report():
     config = NetworkConfig(10, tuple([1.0] * 10), 100, 1)
     report = validate_params(config, BackoffParams(alpha=81.0), delta=0.1)
@@ -392,3 +418,17 @@ def test_readme_export_table_equals_all():
              for name in re.findall(r"`(\w+)`", row.split("|")[2])]
     assert len(names) == len(set(names))
     assert sorted(names) == sorted(aoisim.__all__)
+
+
+def test_readme_domain_equals_backoff_params_bounds():
+    # README states the domain that BackoffParams enforces: its edges are
+    # accepted and the next values past them are not
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    m = re.search(r"`beta >= 1 \+ 2\*\*(-\d+)` and "
+                  r"`0 <= b_offset <= 2\*\*(\d+)`", readme)
+    beta_min, b_max = 1.0 + 2.0 ** int(m[1]), 2 ** int(m[2])
+    BackoffParams(alpha=2.0, beta=beta_min, b_offset=b_max)
+    with pytest.raises(ParameterError):
+        BackoffParams(alpha=2.0, beta=float(np.nextafter(beta_min, 0.0)))
+    with pytest.raises(ParameterError):
+        BackoffParams(alpha=2.0, b_offset=b_max + 1)
