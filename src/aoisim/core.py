@@ -120,6 +120,16 @@ class RngStream:
 # Configuration types
 # ---------------------------------------------------------------------------
 
+def weight_vectors(weights: Sequence[float]) -> np.ndarray:
+    """weights as a float array of weight vectors along the last axis,
+    each weight positive and finite."""
+    w = np.asarray(weights, dtype=float)
+    if w.size == 0 or not np.all((w > 0) & (w < math.inf)):
+        raise ParameterError(
+            f"weights must be non-empty and positive and finite, got {w}")
+    return w
+
+
 def _checked_weights(n_sources: int, weights: Sequence[float]
                      ) -> tuple[float, ...]:
     """n_sources >= 1 weights as floats, each positive and finite."""
@@ -128,9 +138,7 @@ def _checked_weights(n_sources: int, weights: Sequence[float]
     weights = tuple(float(w) for w in weights)
     if len(weights) != n_sources:
         raise ParameterError(f"need {n_sources} weights, got {len(weights)}")
-    if any(not 0 < w < math.inf for w in weights):
-        raise ParameterError(
-            f"weights must be positive and finite, got {weights}")
+    weight_vectors(weights)
     return weights
 
 
@@ -246,9 +254,7 @@ def match_alpha_threshold(n_sources: int, delta: float) -> float:
 def drift_alpha_threshold(weights: Sequence[float]) -> "float | np.ndarray":
     """Alpha above which the drift-domination guarantee applies; one per
     weight vector along the last axis."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w <= 0):
-        raise ParameterError("weights must be a non-empty positive vector")
+    w = weight_vectors(weights)
     s = np.sqrt(w)
     return (w.shape[-1] - 1) * s.sum(axis=-1) / s.min(axis=-1)
 

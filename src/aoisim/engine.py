@@ -13,12 +13,18 @@ either model to drive mismatch-age (AoII) scheduling.
 run() steps through the frames in blocks of _FRAMES.  Between deliveries
 every frame age grows by one and every mismatch age follows its source's
 true states against an estimate that does not move, so at a block's
-start the exponents and contention keys of all its frames are formed at
-once, as if nobody delivered.  A delivery changes the delivered source's
-state only, so it patches that source's column for the rest of the
-block; each frame is then resolved from its row alone.  A collision
-changes nothing, so once two frames in a row collide, the rows up to
-the next delivery are settled in one pass (policies.resolve_rows).  The
+start the exponents and ln-timers ln Z = ln E - ln rate of all its
+frames are formed at once, as if nobody delivered.  The block holds ln Z,
+not keys: the key map (policies.key_of) is non-decreasing, so it is
+applied only where values are compared, inside policies.resolve, to a
+run of collisions and to the trace rows.  A delivery changes the
+delivered source's state only, so it patches that source's column for
+the rest of the block with one subtraction; each frame is then resolved
+from its row alone, which resolve masks and restores in place, so the
+row must be writable.  A collision changes nothing, so once two frames in
+a row collide, the rows up to the next delivery are settled in one pass
+(policies.resolve_rows).  The stationary randomized rule picks a refill's
+sources at once, by searchsorted on the cumulative distribution.  The
 loop records only each frame's delivered source and minislot; once per
 block these give the frame, overhead and elapsed-time totals, the clock
 ages and their integral (_clock_ages) and the trace lines.  Every float
@@ -28,7 +34,6 @@ one frame-by-frame additions give.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -41,8 +46,8 @@ from .policies import (
     PolicyKind,
     aoi_exponents,
     argmax_decide,
-    contention_keys,
     exponents,
+    key_of,
     minislots,
     resolve,
     resolve_rows,
@@ -279,7 +284,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
         run = np.ones(n)
         aoii_sum = np.zeros(n)
     if decide == "randomized":
-        cdf = np.cumsum(stationary_randomized_probs(config.weights)).tolist()
+        cdf = np.cumsum(stationary_randomized_probs(config.weights))
     if discrete:
         # Wall-clock ages sampled at frame starts, weighted by the frame's
         # duration (see _clock_ages).
@@ -309,11 +314,15 @@ def run(config: NetworkConfig, kind: PolicyKind,
                 log_e_block = next(timers)
             if markov_q is not None:
                 x_block = next(states)
+            if decide == "randomized":
+                picks = np.minimum(
+                    np.searchsorted(cdf, decision.uniforms(_BLOCK),
+                                    side="right"), n - 1).tolist()
         block = slice(offset, offset + _FRAMES)
 
         # The block as if nobody delivered: frame ages grow by one per
         # row, mismatch ages follow the trajectory.  AoII kinds carry
-        # the keys of both estimates alongside, in layers 0 and 1.
+        # the ln-timers of both estimates alongside, in layers 0 and 1.
         age = (np.arange(frames, frames + _FRAMES)[:, None]
                - np.array(last)) if signal == "frame_age" else None
         if markov_q is not None:
@@ -324,9 +333,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
                              mismatch[:, :_FRAMES] if signal == "aoii" else None)
         if contention:
             log_e = log_e_block[block]
-            key = contention_keys(log_e, exponent * params.ln_alpha, params,
-                                  discrete)
-            key_now = key[2] if signal == "aoii" else key
+            log_z = np.subtract(log_e, exponent * params.ln_alpha)
+            log_z_now = log_z[2] if signal == "aoii" else log_z
         exponent_now = exponent[2] if signal == "aoii" else exponent
 
         first = frames
@@ -339,14 +347,14 @@ def run(config: NetworkConfig, kind: PolicyKind,
         r = 0
         while r < rows:
             if contention:
-                delivered, slot = resolve(key_now[r], b_offset)
+                delivered, slot = resolve(log_z_now[r], params, discrete)
                 if delivered is None and after_collision:
-                    # A collision changes no key, so the rows after it
+                    # A collision changes no timer, so the rows after it
                     # stand as formed up to the next delivery: once two
                     # frames in a row collide, settle the run in one
                     # pass and go on at its delivering row.
-                    run_won, run_slots = resolve_rows(key_now[r:rows],
-                                                      b_offset)
+                    run_won, run_slots = resolve_rows(
+                        key_of(log_z_now[r:rows], params, discrete), b_offset)
                     # row r collided, so argmax is 0 when none delivers
                     hit = int((run_won >= 0).argmax()) or len(run_won)
                     won += [-1] * hit
@@ -360,9 +368,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
                 after_collision = delivered is None
             else:
                 delivered = (argmax_decide(exponent_now[r], decision)
-                             if decide == "argmax"
-                             else min(bisect.bisect_right(cdf, decision.uniform()),
-                                      n - 1))
+                             if decide == "argmax" else picks[offset + r])
             won.append(-1 if delivered is None else delivered)
             if discrete:
                 slots.append(slot)
@@ -377,9 +383,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
                 if signal == "frame_age":
                     ahead = slice(1, _FRAMES - r)
                     if contention:
-                        contention_keys(log_e[rest, j],
-                                        log_rate_table[ahead, j], params,
-                                        discrete, out=key[rest, j])
+                        np.subtract(log_e[rest, j], log_rate_table[ahead, j],
+                                    out=log_z[rest, j])
                     if patch_exponent:
                         exponent[rest, j] = age_table[ahead, j]
                 if markov_q is not None:
@@ -389,7 +394,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     x_est[j] = v
                     mismatch[2, r + 1:, j] = mismatch[v, r + 1:, j]
                     if contention and signal == "aoii":
-                        key[2, rest, j] = key[v, rest, j]
+                        log_z[2, rest, j] = log_z[v, rest, j]
             r += 1
             if by_deliveries and deliveries == target:
                 break
@@ -408,11 +413,13 @@ def run(config: NetworkConfig, kind: PolicyKind,
             # unit frames: every partial sum is an exact integer
             elapsed += done
         if trace is not None:
+            if contention:
+                keys = key_of(log_z_now[:done], params, discrete)
             for r, j in enumerate(won):
                 if not contention:
                     winners, timer = [j], 0.0
                 else:
-                    row = key_now[r]
+                    row = keys[r]
                     k = row.min()
                     tied = (minislots(row, b_offset) == slots[r] if discrete
                             else row == k)

@@ -3,13 +3,15 @@
 Every rule is a function of one per-source exponent e_i (see exponents).
 A centralized rule schedules one source per frame: the argmax of e_i, or
 a state-independent draw.  Under distributed contention every source
-draws a backoff timer at rate alpha**e_i, which becomes a comparison key
-(contention_keys); in the near-realistic model a key k lands in minislot
-max(B + floor(k), 0) (minislots), and a contention is resolved from its
-keys (resolve).  This module is the one place that rule is written down:
-the engine and the checks call it.  RULES says, per PolicyKind, which
-rule runs, which signal the exponent e_i reads and whether timers are
-compared on the minislot grid.
+draws a backoff timer Z_i at rate alpha**e_i, held as ln Z_i; a
+non-decreasing map turns ln Z_i into a comparison key (key_of), and
+contention_keys forms both steps at once.  In the near-realistic model
+a key k lands in minislot max(B + floor(k), 0) (minislots), and a
+contention is resolved from its ln Z row (resolve) or a block of keys
+(resolve_rows).  This module is the one place that rule is written
+down: the engine and the checks call it.  RULES says, per PolicyKind,
+which rule runs, which signal the exponent e_i reads and whether timers
+are compared on the minislot grid.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BackoffParams, ParameterError, RngStream
+from .core import BackoffParams, RngStream, weight_vectors
 
 
 class PolicyKind(Enum):
@@ -89,24 +91,28 @@ def exponents(signal: str | None, frame_age: np.ndarray, weights: np.ndarray,
 def argmax_decide(exponent: np.ndarray, stream: RngStream) -> int:
     """Schedule the argmax of the exponent, breaking ties uniformly.
 
-    On mismatch ages this is max-AoII, a hypothetical oracle baseline:
-    it needs the true source states, so no base station could run it.
+    The runner-up is the argmax with the maximum masked to -inf, which
+    no exponent is; only when it equals the maximum are the tied sources
+    listed and one of them drawn from stream.  exponent must be
+    writable; it comes back unchanged.  On mismatch ages this is
+    max-AoII, a hypothetical oracle baseline: it needs the true source
+    states, so no base station could run it.
     """
     j = int(exponent.argmax())
-    top = exponent == exponent[j]
-    ties = np.count_nonzero(top)
-    if ties == 1:
+    top = exponent.item(j)
+    exponent[j] = -math.inf
+    runner_up = exponent.item(exponent.argmax())
+    exponent[j] = top
+    if runner_up != top:
         return j
-    return int(np.flatnonzero(top)[stream.integer(ties)])
+    ties = np.flatnonzero(exponent == top)
+    return int(ties[stream.integer(len(ties))])
 
 
 def stationary_randomized_probs(weights: Sequence[float]) -> np.ndarray:
     """Optimal fixed scheduling distribution: sqrt(w_i) / sum_j sqrt(w_j),
     along the last axis."""
-    w = np.asarray(weights, dtype=float)
-    if w.size == 0 or np.any(w <= 0):
-        raise ParameterError("weights must be a non-empty positive vector")
-    s = np.sqrt(w)
+    s = np.sqrt(weight_vectors(weights))
     return s / s.sum(axis=-1, keepdims=True)
 
 
@@ -114,23 +120,32 @@ def stationary_randomized_probs(weights: Sequence[float]) -> np.ndarray:
 # Distributed contention
 # ---------------------------------------------------------------------------
 
+def key_of(log_z: "np.ndarray | float", params: BackoffParams,
+           discrete: bool) -> "np.ndarray | float":
+    """The comparison key of each ln-timer ln Z; the smallest key wins.
+
+    The idealized model compares ln(delta * Z) = ln(delta) + ln Z, and
+    equal keys tie.  The near-realistic model's key is log_beta Z =
+    ln Z / ln(beta); the timer lands in minislot max(B + floor(key), 0)
+    (minislots), and keys in the same minislot tie (see resolve).  Both
+    maps are one correctly rounded operation, the same on a float as on
+    an array, and non-decreasing, so they keep the order of ln-timers
+    but may merge adjacent ones.
+    """
+    if discrete:
+        return log_z / params.ln_beta
+    return params.ln_delta_scale + log_z
+
+
 def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
-                    params: BackoffParams, discrete: bool,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Comparison keys of one contention; the smallest key wins.
+                    params: BackoffParams, discrete: bool) -> np.ndarray:
+    """Comparison keys of one contention (key_of its ln-timers).
 
     Source i's timer is Z_i = E_i / rate_i for a unit exponential E_i,
     formed in log domain as ln Z_i = ln E_i - log_rate_i so that rates
-    beyond float range still compare correctly.  The idealized model
-    compares ln(delta * Z_i), and equal keys tie.  The near-realistic
-    model's key is log_beta Z_i = ln Z_i / ln(beta); the timer lands in
-    minislot max(B + floor(key), 0) (minislots), and keys in the same
-    minislot tie (see resolve).  out, if given, receives the keys.
+    beyond float range still compare correctly.
     """
-    log_z = np.subtract(log_e, log_rate, out=out)
-    if discrete:
-        return np.divide(log_z, params.ln_beta, out=out)
-    return np.add(params.ln_delta_scale, log_z, out=out)
+    return key_of(np.subtract(log_e, log_rate), params, discrete)
 
 
 def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
@@ -144,27 +159,32 @@ def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
     return np.maximum(b_offset + np.floor(key), 0.0)
 
 
-def resolve(key: np.ndarray, b_offset: int | None
+def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
             ) -> tuple[int | None, int | None]:
-    """Resolve one contention from its keys (contention_keys).
+    """Resolve one contention from its ln-timers ln Z.
 
-    The smallest key wins.  In the idealized model (b_offset None) a
-    runner-up equal to it collides.  In the near-realistic model the
-    frame collides when the runner-up shares the minimum's minislot,
-    i.e. lies below max(floor(k_min), -B) + 1.  Only the minimum is
-    discretized; within BackoffParams' domain that is exact and agrees
-    with minislots.  Returns the delivered source (None after a
-    collision) and the winning minislot as an int (None in the idealized
-    model).
+    The smallest key (key_of) wins.  The key map is non-decreasing, so
+    the smallest and second-smallest keys are those of the smallest ln Z
+    and of the runner-up: the smallest ln Z once the minimum is masked
+    to +inf.  In the idealized model a runner-up key equal to the
+    minimum collides.  In the near-realistic model the frame collides
+    when the runner-up shares the minimum's minislot, i.e. its key lies
+    below max(floor(k_min), -B) + 1.  Only the minimum is discretized;
+    within BackoffParams' domain that is exact and agrees with
+    minislots.  On a delivery the minimum key is unique, so the argmin
+    of ln Z is the winner.  log_z must be writable; it comes back
+    unchanged.  Returns the delivered source (None after a collision)
+    and the winning minislot as an int (None in the idealized model).
     """
-    if len(key) == 1:
-        j, runner_up = 0, math.inf
-    else:
-        j, i = key.argpartition(1)[:2].tolist()
-        runner_up = key[i]
-    k = key[j]
-    if b_offset is None:
+    j = int(log_z.argmin())
+    z = log_z.item(j)
+    log_z[j] = math.inf
+    runner_up = key_of(log_z.item(log_z.argmin()), params, discrete)
+    log_z[j] = z
+    k = key_of(z, params, discrete)
+    if not discrete:
         return (None if runner_up == k else j), None
+    b_offset = params.b_offset
     # max(floor(k), -B), clamped first: -B is an integer, -inf has no int floor
     floor_k = math.floor(max(k, -b_offset))
     return (None if runner_up < floor_k + 1.0 else j), b_offset + floor_k
@@ -172,8 +192,9 @@ def resolve(key: np.ndarray, b_offset: int | None
 
 def resolve_rows(keys: np.ndarray, b_offset: int | None
                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """resolve applied to each row of keys, shape (contentions, sources),
-    in one pass.
+    """resolve applied to each row of keys (key_of the ln-timers), shape
+    (contentions, sources), in one pass; b_offset is B on the minislot
+    grid and None in the idealized model.
 
     Returns the delivered source per row, -1 after a collision, and the
     winning minislots as integers (None in the idealized model).  The

@@ -6,7 +6,9 @@ byte by byte.  Every frame forms its exponents and contention keys from
 the current state, resolves them through a mask of tied sources and
 advances every age by one step; Markov sources flip by one uniforms(n)
 draw per frame.  It shares only the stream layout, the rule table and
-the per-source formulas with the kernel.
+the per-source formulas with the kernel; its argmax rule and its
+contention resolution are its own, written through the mask of tied
+sources.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from aoisim.engine import SimulationResult, substreams
 from aoisim.policies import (
     RULES,
     PolicyKind,
-    argmax_decide,
     contention_keys,
     exponents,
     stationary_randomized_probs,
@@ -100,6 +101,17 @@ def _timer_rows(sources):
             e[:, i] = s.exponential_sequence(_BLOCK)
         np.log(e, out=log_e)
         yield from zip(e, log_e)
+
+
+def argmax_decide(exponent: np.ndarray, stream: RngStream) -> int:
+    """The argmax of the exponent; when the mask of sources equal to it
+    has two or more members, one of them is drawn uniformly."""
+    j = int(exponent.argmax())
+    top = exponent == exponent[j]
+    ties = np.count_nonzero(top)
+    if ties == 1:
+        return j
+    return int(np.flatnonzero(top)[stream.integer(ties)])
 
 
 def resolve(key: np.ndarray, grid: BackoffParams | None = None):

@@ -16,6 +16,7 @@ from aoisim import (
     drift_alpha_threshold,
     match_alpha_threshold,
     recommended_defaults,
+    stationary_randomized_probs,
     validate_params,
 )
 from aoisim.analysis import log_sum_exp
@@ -272,6 +273,20 @@ def test_network_config_rejects_non_finite_weights(bad):
     # an infinite weight used to run and report an infinite normalized AoI
     with pytest.raises(ParameterError):
         NetworkConfig(2, (bad, 1.0), 10, 0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_weight_vector_rules_reject_non_finite_weights(bad):
+    # checking only w <= 0 let nan and inf through: the drift threshold
+    # read nan or inf and the randomized rule drew from nan probabilities.
+    # Both take one weight vector or, as lemma2 does, a block of them.
+    for weights in ([1.0, bad], [[1.0, 2.0], [2.0, bad]]):
+        with pytest.raises(ParameterError):
+            drift_alpha_threshold(weights)
+        with pytest.raises(ParameterError):
+            stationary_randomized_probs(weights)
+    assert drift_alpha_threshold([[1.0, 1.0], [1.0, 4.0]]).tolist() == [2.0,
+                                                                         3.0]
 
 
 def test_theorem_exact_mode_requires_integer_weights():

@@ -15,7 +15,13 @@ from aoisim import (
 )
 from aoisim import policies
 from aoisim.engine import _BLOCK, _FRAMES, _clock_ages, _trajectory
-from aoisim.policies import argmax_decide, contention_keys, exponents, minislots
+from aoisim.policies import (
+    argmax_decide,
+    contention_keys,
+    exponents,
+    key_of,
+    minislots,
+)
 import reference
 from reference import AgeState, MarkovNetState, advance, frame_step, resolve
 
@@ -143,23 +149,80 @@ def test_resolve_from_minimum_equals_discretized_keys(units, beta, b_offset):
     assert slot == slots[j]
     assert tied.tolist() == ties.tolist()
     assert delivered == expected
-    assert policies.resolve(key, b_offset) == (expected, slots[j])
+    assert policies.resolve(log_z, params, True) == (expected, slots[j])
 
 
-@settings(max_examples=300, deadline=None)
-@given(units=st.lists(st.one_of(_GRID_UNITS, st.sampled_from([-2.0, 0.5])),
-                      min_size=1, max_size=10),
-       beta=st.floats(1.001, 5.0), b_offset=st.sampled_from([0, 1, 3, 8, 250]),
+def _ulps(x, k):
+    """x moved k floats up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.copysign(math.inf, k)))
+    return x
+
+
+# Ln-timers: typical values, slot-0 edges at small B, -inf, values far
+# below any edge; the rows repeat a few of them exactly or a few floats
+# apart, which the key map may merge.
+_LOG_Z = st.one_of(st.floats(-50.0, 3.6), st.integers(-12, 4).map(float),
+                   st.just(-math.inf), st.floats(-1e300, -1e3))
+
+
+@st.composite
+def _log_z_row(draw):
+    pool = draw(st.lists(_LOG_Z, min_size=1, max_size=3))
+    near = st.builds(_ulps, st.sampled_from(pool), st.integers(-3, 3))
+    return draw(st.lists(st.one_of(near, _LOG_Z), min_size=1, max_size=10))
+
+
+@settings(max_examples=500, deadline=None)
+@given(units=_log_z_row(),
+       beta=st.one_of(st.floats(1.001, 5.0),
+                      st.sampled_from([1.0 + 2**-40, 20.0, 1e6])),
+       b_offset=st.sampled_from([0, 1, 3, 250, 2**52]),
+       delta_scale=st.one_of(st.floats(1e-6, 1.0),
+                             st.sampled_from([1e-300, 0.01, 1.0])),
        discrete=st.booleans())
-def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset, discrete):
-    # the kernel decides a collision from the minimum and the runner-up
-    # alone; that is the mask of tied sources having two or more members
-    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
-    key = np.array(units)
-    delivered, slot = policies.resolve(key, b_offset if discrete else None)
+def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset,
+                                           delta_scale, discrete):
+    # the kernel resolves ln-timers from the masked minimum and runner-up
+    # alone, mapping only those two to keys; that is the mask of sources
+    # tied at the minimum key having two or more members
+    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset,
+                           delta_scale=delta_scale)
+    log_z = np.array(units)
+    key = contention_keys(log_z, 0.0, params, discrete)
     expected, tied, expected_slot = resolve(key, params if discrete else None)
-    assert (delivered, slot) == (expected, expected_slot)
-    assert key.tolist() == units  # the row is left as it was
+    assert policies.resolve(log_z, params, discrete) == (expected,
+                                                         expected_slot)
+    # the row is left as it was, bit for bit
+    assert log_z.tobytes() == np.array(units).tobytes()
+
+
+def test_resolve_sees_ln_timers_the_key_map_merges():
+    # adjacent ln-timers apart in ln Z but equal as keys collide
+    params = BackoffParams(alpha=2.0, delta_scale=0.01)
+    log_z = np.array([1e-3, _ulps(1e-3, 1)])
+    assert log_z[0] < log_z[1]
+    assert key_of(log_z[0], params, False) == key_of(log_z[1], params, False)
+    assert policies.resolve(log_z, params, False) == (None, None)
+    # a lone source delivers at any timer, -inf included
+    for z in (-math.inf, 0.0):
+        assert policies.resolve(np.array([z]), GRID, True) == (0, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(st.one_of(st.integers(0, 3).map(float),
+                                 st.floats(0.0, 1e3), st.just(math.inf)),
+                       min_size=1, max_size=8),
+       seed=st.integers(0, 2**32))
+def test_argmax_decide_equals_tie_mask_rule(values, seed):
+    # the masked runner-up rule picks the source the tie mask picks and
+    # takes the same draws from the stream: one on a tie, none otherwise
+    exponent = np.array(values)
+    kernel, oracle = RngStream(seed), RngStream(seed)
+    assert (argmax_decide(exponent, kernel)
+            == reference.argmax_decide(exponent, oracle))
+    assert kernel.uniform() == oracle.uniform()
+    assert exponent.tobytes() == np.array(values).tobytes()
 
 
 # The edge of BackoffParams' domain: beta = 1 + 2**-40, and the largest
@@ -203,9 +266,14 @@ def _key_rows(draw):
 def test_resolve_rows_equals_resolve_on_every_row(keys, b_offset):
     # the one-pass form gives resolve's winner and minislot on every row,
     # the minislots as exact Python integers up to the domain's edge, so
-    # the durations and the overhead formed from them are resolve's too
+    # the durations and the overhead formed from them are resolve's too.
+    # ln(beta) = 1 and ln(delta) = 0 make every key its own ln-timer.
+    discrete = b_offset is not None
+    params = BackoffParams(alpha=2.0, beta=math.e, b_offset=b_offset or 0,
+                           delta_scale=1.0)
+    assert np.array_equal(key_of(keys, params, discrete), keys)
     won, slots = policies.resolve_rows(keys, b_offset)
-    expected = [policies.resolve(row, b_offset) for row in keys]
+    expected = [policies.resolve(row, params, discrete) for row in keys]
     assert [None if j < 0 else j for j in won.tolist()] == [
         j for j, _ in expected]
     if b_offset is None:

@@ -205,7 +205,7 @@ def test_fresh_csma_near_realistic_returns_minislots():
         slots, [max(50 + math.floor((le - lr) / math.log(1.2)), 0)
                 for le, lr in zip(log_e, log_rate)])
     assert np.all(slots >= 0)
-    assert resolve(keys, params.b_offset)[1] == slots.min()
+    assert resolve(log_e - log_rate, params, discrete=True)[1] == slots.min()
 
 
 def test_minislots_keep_keys_beyond_integer_range_in_order():
