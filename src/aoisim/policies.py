@@ -130,10 +130,14 @@ def key_of(log_z: "np.ndarray | float", params: BackoffParams,
     (minislots), and keys in the same minislot tie (see resolve).  Both
     maps are one correctly rounded operation, the same on a float as on
     an array, and non-decreasing, so they keep the order of ln-timers
-    but may merge adjacent ones.
+    but may merge adjacent ones.  A quotient beyond float range rounds
+    to -inf, which lands in minislot 0 as every key at or below -B does.
     """
     if discrete:
-        return log_z / params.ln_beta
+        if type(log_z) is float:
+            return log_z / params.ln_beta
+        with np.errstate(over="ignore"):
+            return np.divide(log_z, params.ln_beta)
     return params.ln_delta_scale + log_z
 
 

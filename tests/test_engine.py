@@ -209,6 +209,17 @@ def test_resolve_sees_ln_timers_the_key_map_merges():
         assert policies.resolve(np.array([z]), GRID, True) == (0, 0)
 
 
+def test_key_beyond_float_range_is_minus_inf():
+    # at the smallest beta a far-negative ln-timer's key rounds to -inf,
+    # quietly, on an array as on a float, and collides in minislot 0
+    params = BackoffParams(alpha=2.0, beta=1.0 + 2**-40, b_offset=0)
+    log_z = np.array([-1.7e296, -1.65e296])
+    assert key_of(log_z, params, True).tolist() == [-math.inf] * 2
+    assert key_of(log_z.item(0), params, True) == -math.inf
+    assert key_of(log_z[0], params, True) == -math.inf
+    assert policies.resolve(log_z, params, True) == (None, 0)
+
+
 @settings(max_examples=400, deadline=None)
 @given(values=st.lists(st.one_of(st.integers(0, 3).map(float),
                                  st.floats(0.0, 1e3), st.just(math.inf)),
