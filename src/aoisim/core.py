@@ -182,9 +182,10 @@ class BackoffParams:
     alpha drives the state-dependent rate alpha**exponent, beta and
     b_offset control the log-scale minislot discretization, and
     minislots_per_update (M) is the update transmission length in
-    minislots.  delta_scale only rescales the continuous idealized
-    timers; it cannot change which timer is smallest, and is carried for
-    protocol fidelity and trace output.  ln_alpha, ln_beta and
+    minislots.  delta_scale rescales the continuous idealized timers.
+    It keeps their order, but the key ln(delta) + ln Z is rounded, so
+    two adjacent ln-timers can share one key and collide where delta = 1
+    keeps them apart (policies.key_of).  ln_alpha, ln_beta and
     ln_delta_scale are their natural logs, taken once at construction;
     they are not fields, so repr, equality and hashing see the five
     parameters alone.

@@ -17,24 +17,32 @@ start the exponents and ln-timers ln Z = ln E - ln rate of all its
 frames are formed at once, as if nobody delivered.  The block holds ln Z,
 not keys: the key map (policies.key_of) is non-decreasing, so it is
 applied only where values are compared, inside policies.resolve, to a
-run of collisions and to the trace rows.  A delivery changes the
-delivered source's state only, so it patches that source's column for
-the rest of the block with one subtraction; each frame is then resolved
-from its row alone, which resolve masks and restores in place, so the
-row must be writable.  A collision changes nothing, so once two frames in
-a row collide, the rows up to the next delivery are settled in one pass
-(policies.resolve_rows).  The stationary randomized rule picks a refill's
-sources at once, by searchsorted on the cumulative distribution.  The
-loop records only each frame's delivered source and minislot; once per
-block these give the frame, overhead and elapsed-time totals, the clock
-ages and their integral (_clock_ages) and the trace lines.  Every float
-sum runs in frame order, through np.add.accumulate, so each value is the
-one frame-by-frame additions give.
+run of collisions and to the trace rows.
+
+Each block then takes two passes.  The walk only decides: it resolves
+each frame from its row, which resolve masks and restores in place (so
+the row must be writable), and records the delivered source, -1 after a
+collision, and on the minislot grid the winning minislot.  A delivery
+changes only the delivered source's state, so the walk patches only
+that source's column of what the next decision reads: its ln Z under
+frame-age contention (one subtraction), its exponent under max-weight,
+and its layer-2 ln Z or mismatch age under the AoII rules.  A collision
+changes nothing, so once two frames in a row collide, the rows up to
+the next delivery are settled in one pass (policies.resolve_rows).  The
+stationary randomized walk is a slice of a refill's picks, drawn at once
+by searchsorted on the cumulative distribution.  The walk stops at the
+block's end or at the last delivery a deliveries horizon needs.  The
+accounting pass then goes over the recorded deliveries in frame order:
+the delivery count, the frame-age sums, and the mismatch ages the AoII
+sum reads, from which the estimates follow.  It also forms the frame,
+overhead and elapsed-time totals, the clock ages and their integral
+(_clock_ages) and the trace lines.  Every float sum runs in frame order,
+through np.add.accumulate, so each value is the one frame-by-frame
+additions give.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Iterator
 
@@ -269,7 +277,6 @@ def run(config: NetworkConfig, kind: PolicyKind,
     # The AoI exponent w_i * a**2 of frame age a, in row a: the delivered
     # source's column for the rest of a block.
     age_table = aoi_exponents(np.arange(_FRAMES)[:, None], w)
-    patch_exponent = signal == "frame_age" and decide == "argmax"
     if contention:
         timers = _timer_blocks(sources)
         log_rate_table = age_table * params.ln_alpha
@@ -283,6 +290,11 @@ def run(config: NetworkConfig, kind: PolicyKind,
         x_before, x_est = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
         run = np.ones(n)
         aoii_sum = np.zeros(n)
+    # The AoII sum reads layer 2 of the mismatch ages.  Max-AoII decides
+    # from that layer, so its walk patches it; for every other kind with
+    # Markov sources the accounting pass does.
+    patch_aoii = (markov_q is not None
+                  and (signal, decide) != ("aoii", "argmax"))
     if decide == "randomized":
         cdf = np.cumsum(stationary_randomized_probs(config.weights))
     if discrete:
@@ -321,86 +333,88 @@ def run(config: NetworkConfig, kind: PolicyKind,
         block = slice(offset, offset + _FRAMES)
 
         # The block as if nobody delivered: frame ages grow by one per
-        # row, mismatch ages follow the trajectory.  AoII kinds carry
-        # the ln-timers of both estimates alongside, in layers 0 and 1.
+        # row, mismatch ages follow the trajectory.  AoII kinds decide
+        # from layer 2, under the current estimates; layer v holds the
+        # exponents or ln-timers under an estimate of v, which is exact
+        # after a delivery in state v.
         age = (np.arange(frames, frames + _FRAMES)[:, None]
                - np.array(last)) if signal == "frame_age" else None
         if markov_q is not None:
             x = x_block[block]
             mismatch, runs = _mismatch_ages(x, x_before, run, x_est)
-            aoii_now = mismatch[2]
-        exponent = exponents(signal, age, w,
-                             mismatch[:, :_FRAMES] if signal == "aoii" else None)
+        layers = exponents(signal, age, w,
+                           mismatch if signal == "aoii" else None)
         if contention:
             log_e = log_e_block[block]
-            log_z = np.subtract(log_e, exponent * params.ln_alpha)
-            log_z_now = log_z[2] if signal == "aoii" else log_z
-        exponent_now = exponent[2] if signal == "aoii" else exponent
+            if signal == "aoii":
+                layers = layers[:, :_FRAMES]
+            layers = np.subtract(log_e, layers * params.ln_alpha)
+        now = layers[2] if signal == "aoii" else layers
 
-        first = frames
+        # The walk decides each frame and records its delivered source,
+        # -1 after a collision, and on the minislot grid its winning
+        # minislot, until the block ends or the last delivery is made.
+        # A delivery changes only its source's state, so it patches only
+        # that source's column of what the next decision reads.
         rows = min(_FRAMES, cap - frames)
-        # What each frame decided: its delivered source, -1 after a
-        # collision, and on the minislot grid its winning minislot.  The
-        # totals, clock ages and trace lines follow from these once the
-        # block is done.
-        won, slots = [], []
-        r = 0
-        while r < rows:
-            if contention:
-                delivered, slot = resolve(log_z_now[r], params, discrete)
-                if delivered is None and after_collision:
-                    # A collision changes no timer, so the rows after it
-                    # stand as formed up to the next delivery: once two
-                    # frames in a row collide, settle the run in one
-                    # pass and go on at its delivering row.
-                    run_won, run_slots = resolve_rows(
-                        key_of(log_z_now[r:rows], params, discrete), b_offset)
-                    # row r collided, so argmax is 0 when none delivers
-                    hit = int((run_won >= 0).argmax()) or len(run_won)
-                    won += [-1] * hit
+        left = target - deliveries if by_deliveries else rows
+        if decide == "randomized":
+            won, slots = picks[offset:offset + min(rows, left)], []
+        else:
+            won, slots = [], []
+            r = 0
+            while r < rows and left:
+                if decide == "argmax":
+                    j = argmax_decide(now[r], decision)
+                else:
+                    j, slot = resolve(now[r], params, discrete)
+                    if j is None and after_collision:
+                        # A collision changes no timer, so the rows after
+                        # it stand as formed up to the next delivery: once
+                        # two frames in a row collide, settle the run in
+                        # one pass and go on at its delivering row.
+                        run_won, run_slots = resolve_rows(
+                            key_of(now[r:rows], params, discrete), b_offset)
+                        # row r collided, so argmax is 0 when none delivers
+                        hit = int((run_won >= 0).argmax()) or len(run_won)
+                        won += [-1] * hit
+                        if discrete:
+                            slots += run_slots[:hit].tolist()
+                        r += hit
+                        if r == rows:
+                            break
+                        j = int(run_won[hit])
+                        slot = int(run_slots[hit]) if discrete else None
+                    after_collision = j is None
                     if discrete:
-                        slots += run_slots[:hit].tolist()
-                    r += hit
-                    if r == rows:
-                        break
-                    delivered = int(run_won[hit])
-                    slot = int(run_slots[hit]) if discrete else None
-                after_collision = delivered is None
-            else:
-                delivered = (argmax_decide(exponent_now[r], decision)
-                             if decide == "argmax" else picks[offset + r])
-            won.append(-1 if delivered is None else delivered)
-            if discrete:
-                slots.append(slot)
-            if delivered is not None:
-                deliveries += 1
-                j = delivered
-                t = first + r
-                m = t - last[j]
-                frame_age_sum[j] += m * (m + 1) // 2
-                last[j] = t
-                rest = slice(r + 1, _FRAMES)
-                if signal == "frame_age":
-                    ahead = slice(1, _FRAMES - r)
-                    if contention:
-                        np.subtract(log_e[rest, j], log_rate_table[ahead, j],
-                                    out=log_z[rest, j])
-                    if patch_exponent:
-                        exponent[rest, j] = age_table[ahead, j]
-                if markov_q is not None:
-                    # Markov sources flip within the frame, so a delivery
-                    # carries the post-flip state.
-                    v = int(x[r, j])
-                    x_est[j] = v
-                    mismatch[2, r + 1:, j] = mismatch[v, r + 1:, j]
-                    if contention and signal == "aoii":
-                        log_z[2, rest, j] = log_z[v, rest, j]
-            r += 1
-            if by_deliveries and deliveries == target:
-                break
+                        slots.append(slot)
+                won.append(-1 if j is None else j)
+                if j is not None:
+                    left -= 1
+                    if signal == "aoii":
+                        # Markov sources flip within the frame, so a
+                        # delivery carries the post-flip state.
+                        now[r + 1:, j] = layers[int(x.item(r, j)), r + 1:, j]
+                    elif signal == "frame_age" and contention:
+                        np.subtract(log_e[r + 1:, j],
+                                    log_rate_table[1:_FRAMES - r, j],
+                                    out=now[r + 1:, j])
+                    elif signal == "frame_age":
+                        now[r + 1:, j] = age_table[1:_FRAMES - r, j]
+                r += 1
 
-        done = r
+        # The accounting pass: the block's deliveries in frame order.
+        first, done = frames, len(won)
         frames += done
+        deliveries += done - won.count(-1)
+        for r, j in enumerate(won):
+            if j >= 0:
+                m = first + r - last[j]
+                frame_age_sum[j] += m * (m + 1) // 2
+                last[j] = first + r
+                if patch_aoii:
+                    v = int(x.item(r, j))
+                    mismatch[2, r + 1:, j] = mismatch[v, r + 1:, j]
         if discrete:
             steps = np.array([elapsed]
                              + [1.0 + s / slots_per_update for s in slots])
@@ -414,17 +428,17 @@ def run(config: NetworkConfig, kind: PolicyKind,
             elapsed += done
         if trace is not None:
             if contention:
-                keys = key_of(log_z_now[:done], params, discrete)
+                keys = key_of(now[:done], params, discrete)
             for r, j in enumerate(won):
                 if not contention:
                     winners, timer = [j], 0.0
                 else:
                     row = keys[r]
-                    k = row.min()
                     tied = (minislots(row, b_offset) == slots[r] if discrete
-                            else row == k)
+                            else row == row.min())
                     winners = np.flatnonzero(tied).tolist()
-                    timer = slots[r] if discrete else math.exp(k)
+                    timer = (slots[r] if discrete else
+                             params.delta_scale * np.exp(now[r])[winners[0]])
                 duration = durations[r] if discrete else 1.0
                 trace.write(f"frame={first + r + 1} min_timer={timer:g} "
                             f"winners={','.join(map(str, winners))} "
@@ -432,8 +446,11 @@ def run(config: NetworkConfig, kind: PolicyKind,
                             f"delivered={'-' if j < 0 else j} "
                             f"duration={duration:.6f}\n")
         if markov_q is not None:
-            aoii_sum += aoii_now[1:done + 1].sum(axis=0)
+            aoii_sum += mismatch[2, 1:done + 1].sum(axis=0)
+            # A mismatch age is positive exactly while the state differs
+            # from the estimate.
             x_before, run = x[done - 1].copy(), runs[done - 1]
+            x_est = x_before ^ (mismatch[2, done] > 0)
 
     frame_mean = np.array([s + (frames - l) * (frames - 1 - l) // 2
                            for s, l in zip(frame_age_sum, last)],

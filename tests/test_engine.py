@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aoisim import (
     BackoffParams,
@@ -203,6 +203,12 @@ def test_resolve_sees_ln_timers_the_key_map_merges():
     log_z = np.array([1e-3, _ulps(1e-3, 1)])
     assert log_z[0] < log_z[1]
     assert key_of(log_z[0], params, False) == key_of(log_z[1], params, False)
+    assert policies.resolve(log_z, params, False) == (None, None)
+    # delta keeps the order of the timers, but the ln(delta) shift merges
+    # two that delta = 1 keeps apart
+    log_z = np.array([1.0, math.nextafter(1.0, 2.0), 5.0])
+    assert policies.resolve(log_z, BackoffParams(alpha=2.0, delta_scale=1.0),
+                            False) == (0, None)
     assert policies.resolve(log_z, params, False) == (None, None)
     # a lone source delivers at any timer, -inf included
     for z in (-math.inf, 0.0):
@@ -614,6 +620,14 @@ def _outcome(run_fn, config, kind, params, kwargs, traced):
 
 @settings(max_examples=100, deadline=None)
 @given(case=_runs())
+# min_timer is delta * exp(ln Z): frame 20 prints a subnormal timer, whose
+# digits differ from exp(ln delta + ln Z)
+@example(case=(NetworkConfig(
+    35, (1.0,) * 8 + (5.0, 5.0, 6.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0, 7.0, 8.0,
+                      8.0, 4.527588621607691) + (1.0,) * 9 + (5.0,) * 5,
+    63, 35), PolicyKind.IDEALIZED_FRESH_CSMA,
+    BackoffParams(alpha=1.5, beta=1.1, b_offset=5),
+    dict(prefix=(), markov_q=0.0, horizon_unit="frames")))
 def test_run_equals_reference_frame_loop(case):
     # field-equal results and byte-equal traces, traced or not
     expected, expected_trace = _outcome(reference.run, *case, traced=True)
@@ -627,7 +641,9 @@ def test_run_equals_reference_frame_loop(case):
 # four sources collide in about a third of the frames: frames 231-232
 # form a run that ends inside its block, and frames 1019-1030 one that
 # crosses the 1024-frame draw block.  At seed 5 the 100-frame cap falls
-# inside a run that starts after deliveries in the last block.
+# inside a run that starts after deliveries in the last block.  At seed
+# 93 frames 81-83 collide and frame 84 makes the 78th delivery, the last
+# one the horizon needs.
 _MIXED = BackoffParams(alpha=1.1, beta=1.3, b_offset=30)
 _HEAVY = BackoffParams(alpha=1.1, beta=1.1, b_offset=45)
 _NR = PolicyKind.NEAR_REALISTIC_FRESH_CSMA
@@ -638,6 +654,8 @@ _CASES = {
                                  _MIXED, {}),
     "cap inside a run": (NetworkConfig(4, (1.0,) * 4, 500, 5), _NR, _HEAVY,
                          dict(horizon_unit="deliveries", max_frames=100)),
+    "target delivery ends a run": (NetworkConfig(4, (1.0,) * 4, 78, 93), _NR,
+                                   _HEAVY, dict(horizon_unit="deliveries")),
     "near-realistic AoII": (NetworkConfig(5, (1.0,) * 5, 1100, 3),
                             PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII,
                             BackoffParams(alpha=2.1, beta=1.3, b_offset=8),
@@ -673,7 +691,30 @@ def test_collision_runs_equal_reference_frame_loop(name):
         assert result == "frame cap" and len(collided) == 100
         last_block = collided[_FRAMES:]
         assert last_block[-3:] == [True] * 3 and not all(last_block)
+    elif name == "target delivery ends a run":
+        assert result.delivery_count == 78 and len(collided) == 84
+        assert collided[-4:] == [True, True, True, False]
     elif name == "near-realistic AoII":
         assert 0.2 < result.collision_rate < 0.9 and ends
     else:
         assert ends
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.value)
+def test_deliveries_horizon_stops_at_the_target_delivery(kind):
+    # 100 deliveries end inside the second block, where the walk stops at
+    # the target delivery; the last frame traced is that delivery
+    rule = policies.RULES[kind]
+    params = (BackoffParams(alpha=1.2, beta=1.1, b_offset=255)
+              if rule.decide == "contention" else None)
+    kwargs = dict(horizon_unit="deliveries",
+                  markov_q=0.05 if rule.signal == "aoii" else None)
+    case = (NetworkConfig(5, (1.0,) * 5, 100, 3), kind, params, kwargs)
+    expected, expected_trace = _outcome(reference.run, *case, traced=True)
+    result, trace = _outcome(run, *case, traced=True)
+    assert result == expected
+    assert trace == expected_trace
+    assert _outcome(run, *case, traced=False)[0] == expected
+    assert result.delivery_count == 100
+    assert _FRAMES < result.frame_count < 2 * _FRAMES
+    assert not _collided(trace)[-1]
