@@ -23,7 +23,6 @@ from .core import (
 )
 from .engine import SimulationResult, run
 from .experiments import (
-    ConfigError,
     ExperimentSpec,
     parse_config,
     preset,
@@ -39,9 +38,9 @@ from .policies import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackoffParams", "CHECKS", "CheckResult", "ConfigError",
-    "ExperimentSpec", "NetworkConfig", "ParameterError", "ParamsReport",
-    "PolicyKind", "RngStream", "SimulationResult", "distinct_timer_bound",
+    "BackoffParams", "CHECKS", "CheckResult", "ExperimentSpec",
+    "NetworkConfig", "ParameterError", "ParamsReport", "PolicyKind",
+    "RngStream", "SimulationResult", "distinct_timer_bound",
     "drift_alpha_threshold", "lyapunov_drift_pair", "match_alpha_threshold",
     "match_probability", "overhead_upper_bound", "parse_config", "preset",
     "recommended_defaults", "run", "run_experiment",

@@ -31,7 +31,7 @@ from .core import (
 )
 from .policies import (
     aoi_exponents,
-    contention_keys,
+    key_of,
     minislots,
     scheduling_probabilities,
 )
@@ -199,9 +199,8 @@ def check_distinct_timer_bound(samples: int = 100_000,
                 prev = -math.inf
                 for b in b_grid:
                     params = BackoffParams(alpha=2.0, beta=beta, b_offset=b)
-                    key = contention_keys(
-                        _log_timers(stream, (lri, lrj), samples), 0.0, params,
-                        discrete=True)
+                    key = key_of(_log_timers(stream, (lri, lrj), samples),
+                                 params, discrete=True)
                     d = minislots(key, b)
                     distinct = int(np.count_nonzero(d[0] != d[1]))
                     # Laplace-smoothed, so the error cannot vanish when
@@ -242,7 +241,7 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
                             * params.ln_alpha, samples)
         # the grid map is monotone, so the winning minislot is the
         # minimum timer's
-        key = contention_keys(log_z.min(axis=0), 0.0, params, discrete=True)
+        key = key_of(log_z.min(axis=0), params, discrete=True)
         mean_d = float(minislots(key, params.b_offset).mean())
         bound = overhead_upper_bound(ages, weights, params, minislots=True)
         worst = min(worst, bound - mean_d)

@@ -20,7 +20,6 @@ from pathlib import Path
 from .checks import CHECKS
 from .core import DEFAULT_SEED, ParameterError
 from .experiments import (
-    ConfigError,
     PRESET_NAMES,
     SWEEPABLE,
     ExperimentSpec,
@@ -64,7 +63,7 @@ def _load_config(args) -> ExperimentSpec:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read --config: {exc}") from None
+        raise ParameterError(f"cannot read --config: {exc}") from None
     overrides = {"base_seed": args.seed, "horizon": args.horizon,
                  "replications": args.replications}
     return replace(parse_config(text),
@@ -80,7 +79,7 @@ def _emit(spec: ExperimentSpec, output: str | None) -> int:
 
 def _write_trace(spec: ExperimentSpec, trace_path: str) -> None:
     if len(spec.policies) != 1 or spec.sweep_param is not None:
-        raise ConfigError("--trace needs a single policy and no sweep")
+        raise ParameterError("--trace needs a single policy and no sweep")
     point = resolve_points(spec)[0]
     Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
     with open(trace_path, "w", encoding="utf-8") as fh:
@@ -188,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     # runtime error.
     try:
         return args.func(args)
-    except (ConfigError, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, RuntimeError) as exc:

@@ -16,29 +16,30 @@ true states against an estimate that does not move, so at a block's
 start the exponents and ln-timers ln Z = ln E - ln rate of all its
 frames are formed at once, as if nobody delivered.  The block holds ln Z,
 not keys: the key map (policies.key_of) is non-decreasing, so it is
-applied only where values are compared, inside policies.resolve, to a
-run of collisions and to the trace rows.
+applied only where values are compared, inside policies.resolve and
+policies.resolve_rows, and to the trace rows.
 
 Each block then takes two passes.  The walk only decides: it resolves
 each frame from its row, which resolve masks and restores in place (so
 the row must be writable), and records the delivered source, -1 after a
-collision, and on the minislot grid the winning minislot.  A delivery
-changes only the delivered source's state, so the walk patches only
-that source's column of what the next decision reads: its ln Z under
-frame-age contention (one subtraction), its exponent under max-weight,
-and its layer-2 ln Z or mismatch age under the AoII rules.  A collision
-changes nothing, so once two frames in a row collide, the rows up to
-the next delivery are settled in one pass (policies.resolve_rows).  The
-stationary randomized walk is a slice of a refill's picks, drawn at once
-by searchsorted on the cumulative distribution.  The walk stops at the
-block's end or at the last delivery a deliveries horizon needs.  The
-accounting pass then goes over the recorded deliveries in frame order:
-the delivery count, the frame-age sums, and the mismatch ages the AoII
-sum reads, from which the estimates follow.  It also forms the frame,
-overhead and elapsed-time totals, the clock ages and their integral
-(_clock_ages) and the trace lines.  Every float sum runs in frame order,
-through np.add.accumulate, so each value is the one frame-by-frame
-additions give.
+collision as resolve reports it, and on the minislot grid the winning
+minislot.  A delivery changes only the delivered source's state, so the
+walk patches only that source's column of what the next decision reads:
+its ln Z under frame-age contention (one subtraction), its exponent
+under max-weight, and its layer-2 ln Z or mismatch age under the AoII
+rules.  A collision changes nothing, so once two frames in a row
+collide, the rows up to the next delivery are settled in one pass
+(policies.resolve_rows, on the same ln Z rows and with the same -1 for
+a collision).  The stationary randomized walk is a slice of a refill's
+picks, drawn at once by searchsorted on the cumulative distribution.
+The walk stops at the block's end or at the last delivery a deliveries
+horizon needs.  The accounting pass then goes over the recorded
+deliveries in frame order: the delivery count, the frame-age sums, and
+the mismatch ages the AoII sum reads, from which the estimates follow.
+It also forms the frame, overhead and elapsed-time totals, the clock
+ages and their integral (_clock_ages) and the trace lines.  Every float
+sum runs in frame order, through np.add.accumulate, so each value is
+the one frame-by-frame additions give.
 """
 
 from __future__ import annotations
@@ -280,7 +281,6 @@ def run(config: NetworkConfig, kind: PolicyKind,
     if contention:
         timers = _timer_blocks(sources)
         log_rate_table = age_table * params.ln_alpha
-        b_offset = params.b_offset if discrete else None
         slots_per_update = params.minislots_per_update
     if markov_q is not None:
         states = _trajectory(_transition_probs(markov_q, n), np.zeros(n),
@@ -292,7 +292,9 @@ def run(config: NetworkConfig, kind: PolicyKind,
         aoii_sum = np.zeros(n)
     # The AoII sum reads layer 2 of the mismatch ages.  Max-AoII decides
     # from that layer, so its walk patches it; for every other kind with
-    # Markov sources the accounting pass does.
+    # Markov sources the accounting pass does.  The walk's patch reaches
+    # layer 2 only because max-AoII's now is a view of mismatch[2], which
+    # holds because exponents returns the float mismatch array itself.
     patch_aoii = (markov_q is not None
                   and (signal, decide) != ("aoii", "argmax"))
     if decide == "randomized":
@@ -368,13 +370,13 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     j = argmax_decide(now[r], decision)
                 else:
                     j, slot = resolve(now[r], params, discrete)
-                    if j is None and after_collision:
+                    if j < 0 and after_collision:
                         # A collision changes no timer, so the rows after
                         # it stand as formed up to the next delivery: once
                         # two frames in a row collide, settle the run in
                         # one pass and go on at its delivering row.
-                        run_won, run_slots = resolve_rows(
-                            key_of(now[r:rows], params, discrete), b_offset)
+                        run_won, run_slots = resolve_rows(now[r:rows], params,
+                                                          discrete)
                         # row r collided, so argmax is 0 when none delivers
                         hit = int((run_won >= 0).argmax()) or len(run_won)
                         won += [-1] * hit
@@ -385,11 +387,11 @@ def run(config: NetworkConfig, kind: PolicyKind,
                             break
                         j = int(run_won[hit])
                         slot = int(run_slots[hit]) if discrete else None
-                    after_collision = j is None
+                    after_collision = j < 0
                     if discrete:
                         slots.append(slot)
-                won.append(-1 if j is None else j)
-                if j is not None:
+                won.append(j)
+                if j >= 0:
                     left -= 1
                     if signal == "aoii":
                         # Markov sources flip within the frame, so a
@@ -434,8 +436,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     winners, timer = [j], 0.0
                 else:
                     row = keys[r]
-                    tied = (minislots(row, b_offset) == slots[r] if discrete
-                            else row == row.min())
+                    tied = (minislots(row, params.b_offset) == slots[r]
+                            if discrete else row == row.min())
                     winners = np.flatnonzero(tied).tolist()
                     timer = (slots[r] if discrete else
                              params.delta_scale * np.exp(now[r])[winners[0]])

@@ -4,14 +4,14 @@ Every rule is a function of one per-source exponent e_i (see exponents).
 A centralized rule schedules one source per frame: the argmax of e_i, or
 a state-independent draw.  Under distributed contention every source
 draws a backoff timer Z_i at rate alpha**e_i, held as ln Z_i; a
-non-decreasing map turns ln Z_i into a comparison key (key_of), and
-contention_keys forms both steps at once.  In the near-realistic model
-a key k lands in minislot max(B + floor(k), 0) (minislots), and a
-contention is resolved from its ln Z row (resolve) or a block of keys
-(resolve_rows).  This module is the one place that rule is written
-down: the engine and the checks call it.  RULES says, per PolicyKind,
-which rule runs, which signal the exponent e_i reads and whether timers
-are compared on the minislot grid.
+non-decreasing map turns ln Z_i into a comparison key (key_of).  In the
+near-realistic model a key k lands in minislot max(B + floor(k), 0)
+(minislots).  A contention is resolved from its ln Z row (resolve) or
+from a block of ln Z rows in one pass (resolve_rows); both take
+(log_z, params, discrete) and report a collision as -1.  This module is
+the one place that rule is written down: the engine and the checks call
+it.  RULES says, per PolicyKind, which rule runs, which signal the
+exponent e_i reads and whether timers are compared on the minislot grid.
 """
 
 from __future__ import annotations
@@ -141,17 +141,6 @@ def key_of(log_z: "np.ndarray | float", params: BackoffParams,
     return params.ln_delta_scale + log_z
 
 
-def contention_keys(log_e: np.ndarray, log_rate: "np.ndarray | float",
-                    params: BackoffParams, discrete: bool) -> np.ndarray:
-    """Comparison keys of one contention (key_of its ln-timers).
-
-    Source i's timer is Z_i = E_i / rate_i for a unit exponential E_i,
-    formed in log domain as ln Z_i = ln E_i - log_rate_i so that rates
-    beyond float range still compare correctly.
-    """
-    return key_of(np.subtract(log_e, log_rate), params, discrete)
-
-
 def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
     """The minislot max(B + floor(key), 0) of each near-realistic key, as
     floats.
@@ -164,7 +153,7 @@ def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
 
 
 def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
-            ) -> tuple[int | None, int | None]:
+            ) -> tuple[int, int | None]:
     """Resolve one contention from its ln-timers ln Z.
 
     The smallest key (key_of) wins.  The key map is non-decreasing, so
@@ -177,8 +166,8 @@ def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
     within BackoffParams' domain that is exact and agrees with
     minislots.  On a delivery the minimum key is unique, so the argmin
     of ln Z is the winner.  log_z must be writable; it comes back
-    unchanged.  Returns the delivered source (None after a collision)
-    and the winning minislot as an int (None in the idealized model).
+    unchanged.  Returns the delivered source (-1 after a collision) and
+    the winning minislot as an int (None in the idealized model).
     """
     j = int(log_z.argmin())
     z = log_z.item(j)
@@ -187,35 +176,34 @@ def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
     log_z[j] = z
     k = key_of(z, params, discrete)
     if not discrete:
-        return (None if runner_up == k else j), None
+        return (-1 if runner_up == k else j), None
     b_offset = params.b_offset
     # max(floor(k), -B), clamped first: -B is an integer, -inf has no int floor
     floor_k = math.floor(max(k, -b_offset))
-    return (None if runner_up < floor_k + 1.0 else j), b_offset + floor_k
+    return (-1 if runner_up < floor_k + 1.0 else j), b_offset + floor_k
 
 
-def resolve_rows(keys: np.ndarray, b_offset: int | None
+def resolve_rows(log_z: np.ndarray, params: BackoffParams, discrete: bool
                  ) -> tuple[np.ndarray, np.ndarray | None]:
-    """resolve applied to each row of keys (key_of the ln-timers), shape
-    (contentions, sources), in one pass; b_offset is B on the minislot
-    grid and None in the idealized model.
+    """resolve applied to each row of ln-timers, shape (contentions,
+    sources), in one pass.
 
-    Returns the delivered source per row, -1 after a collision, and the
-    winning minislots as integers (None in the idealized model).  The
-    rule is resolve's, in floats, which are exact within BackoffParams'
-    domain.
+    A row collides when its two smallest keys are equal in the idealized
+    model, or share a minislot on the grid.  Returns the delivered
+    source per row, -1 after a collision, and the winning minislots as
+    integers (None in the idealized model), which are exact within
+    BackoffParams' domain.
     """
-    if keys.shape[1] == 1:
-        k, runner_up = keys[:, 0], math.inf
-    else:
-        k, runner_up = np.partition(keys, 1, axis=1)[:, :2].T
+    keys = key_of(log_z, params, discrete)
+    # each row's two smallest keys; a lone source's runner-up is +inf
+    two = (np.partition(keys, 1, axis=1)[:, :2] if keys.shape[1] > 1
+           else np.append(keys, np.full_like(keys, math.inf), axis=1))
+    if discrete:
+        two = minislots(two, params.b_offset)
+    k, runner_up = two.T
     # a row delivers only with a unique minimum, so any argmin is the winner
-    winner = keys.argmin(axis=1)
-    if b_offset is None:
-        return np.where(runner_up == k, -1, winner), None
-    floor_k = np.maximum(np.floor(k), -b_offset)
-    return (np.where(runner_up < floor_k + 1.0, -1, winner),
-            (b_offset + floor_k).astype(np.int64))
+    won = np.where(runner_up == k, -1, keys.argmin(axis=1))
+    return won, k.astype(np.int64) if discrete else None
 
 
 def scheduling_probabilities(alpha: "float | np.ndarray",

@@ -25,8 +25,8 @@ from aoisim.engine import SimulationResult, substreams
 from aoisim.policies import (
     RULES,
     PolicyKind,
-    contention_keys,
     exponents,
+    key_of,
     stationary_randomized_probs,
 )
 
@@ -93,14 +93,21 @@ class MarkovNetState:
 
 
 def _timer_rows(sources):
-    """(E, ln E) per frame from (_BLOCK, n) blocks, ln taken per block."""
-    e = np.empty((_BLOCK, len(sources)))
-    log_e = np.empty_like(e)
+    """ln E per frame from (_BLOCK, n) blocks, ln taken per block."""
+    log_e = np.empty((_BLOCK, len(sources)))
     while True:
         for i, s in enumerate(sources):
-            e[:, i] = s.exponential_sequence(_BLOCK)
-        np.log(e, out=log_e)
-        yield from zip(e, log_e)
+            log_e[:, i] = s.exponential_sequence(_BLOCK)
+        np.log(log_e, out=log_e)
+        yield from log_e
+
+
+def contention_keys(log_e: np.ndarray, log_rate, params: BackoffParams,
+                    discrete: bool) -> np.ndarray:
+    """Comparison keys of one contention: key_of the ln-timers
+    ln Z_i = ln E_i - log_rate_i, formed in log domain so that rates
+    beyond float range still compare correctly."""
+    return key_of(np.subtract(log_e, log_rate), params, discrete)
 
 
 def argmax_decide(exponent: np.ndarray, stream: RngStream) -> int:
@@ -207,7 +214,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
         exponent = exponents(rule.signal, ages.frame_age, w,
                              None if markov is None else markov.aoii)
         if contention:
-            e, log_e = next(timer_rows)
+            log_e = next(timer_rows)
             log_rate = exponent * ln_alpha
             key = contention_keys(log_e, log_rate, params, rule.discrete)
             delivered, tied, slot, duration = frame_step(ages, markov, key,
@@ -234,9 +241,6 @@ def run(config: NetworkConfig, kind: PolicyKind,
                 winners = np.flatnonzero(tied).tolist()
                 if rule.discrete:
                     timer = slot
-                elif rule.signal is None:
-                    timer = (params.delta_scale * float(e[winners[0]])
-                             / params.alpha)
                 else:
                     timer = float(params.delta_scale
                                   * np.exp(log_e - log_rate)[winners[0]])

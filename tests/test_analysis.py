@@ -25,7 +25,8 @@ from aoisim.analysis import (
     overhead_upper_bound_from_log_rate,
 )
 from aoisim.checks import _log_timers
-from aoisim.policies import aoi_exponents, contention_keys, minislots
+from aoisim.policies import aoi_exponents, minislots
+from reference import contention_keys
 
 
 def gamma0_quadrature(x: float) -> float:

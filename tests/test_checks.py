@@ -18,7 +18,8 @@ from aoisim.checks import (
     check_max_weight_match,
     check_winner_distribution,
 )
-from aoisim.policies import contention_keys, minislots
+from aoisim.policies import minislots
+from reference import contention_keys
 
 
 def test_checks_registry_ids():

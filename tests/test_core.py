@@ -20,8 +20,8 @@ from aoisim import (
     validate_params,
 )
 from aoisim.analysis import log_sum_exp
-from aoisim.policies import contention_keys, minislots
-from reference import AgeState, frame_step
+from aoisim.policies import minislots
+from reference import AgeState, contention_keys, frame_step
 
 UNIT_DELTA = BackoffParams(alpha=2.0, delta_scale=1.0)
 

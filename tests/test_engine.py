@@ -15,15 +15,16 @@ from aoisim import (
 )
 from aoisim import policies
 from aoisim.engine import _BLOCK, _FRAMES, _clock_ages, _trajectory
-from aoisim.policies import (
-    argmax_decide,
-    contention_keys,
-    exponents,
-    key_of,
-    minislots,
-)
+from aoisim.policies import argmax_decide, exponents, key_of, minislots
 import reference
-from reference import AgeState, MarkovNetState, advance, frame_step, resolve
+from reference import (
+    AgeState,
+    MarkovNetState,
+    advance,
+    contention_keys,
+    frame_step,
+    resolve,
+)
 
 M = 10_000
 # B = 0: a near-realistic key k lands in minislot max(floor(k), 0)
@@ -144,11 +145,12 @@ def test_resolve_from_minimum_equals_discretized_keys(units, beta, b_offset):
     slots = minislots(key, b_offset)
     j = int(slots.argmin())
     ties = slots == slots[j]
-    expected = j if np.count_nonzero(ties) == 1 else None
+    expected = j if np.count_nonzero(ties) == 1 else -1
     delivered, tied, slot = resolve(key, params)
     assert slot == slots[j]
     assert tied.tolist() == ties.tolist()
-    assert delivered == expected
+    # the reference reports a collision as None, the library as -1
+    assert (-1 if delivered is None else delivered) == expected
     assert policies.resolve(log_z, params, True) == (expected, slots[j])
 
 
@@ -191,8 +193,9 @@ def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset,
     log_z = np.array(units)
     key = contention_keys(log_z, 0.0, params, discrete)
     expected, tied, expected_slot = resolve(key, params if discrete else None)
-    assert policies.resolve(log_z, params, discrete) == (expected,
-                                                         expected_slot)
+    # the reference reports a collision as None, the library as -1
+    assert policies.resolve(log_z, params, discrete) == (
+        -1 if expected is None else expected, expected_slot)
     # the row is left as it was, bit for bit
     assert log_z.tobytes() == np.array(units).tobytes()
 
@@ -203,13 +206,13 @@ def test_resolve_sees_ln_timers_the_key_map_merges():
     log_z = np.array([1e-3, _ulps(1e-3, 1)])
     assert log_z[0] < log_z[1]
     assert key_of(log_z[0], params, False) == key_of(log_z[1], params, False)
-    assert policies.resolve(log_z, params, False) == (None, None)
+    assert policies.resolve(log_z, params, False) == (-1, None)
     # delta keeps the order of the timers, but the ln(delta) shift merges
     # two that delta = 1 keeps apart
     log_z = np.array([1.0, math.nextafter(1.0, 2.0), 5.0])
     assert policies.resolve(log_z, BackoffParams(alpha=2.0, delta_scale=1.0),
                             False) == (0, None)
-    assert policies.resolve(log_z, params, False) == (None, None)
+    assert policies.resolve(log_z, params, False) == (-1, None)
     # a lone source delivers at any timer, -inf included
     for z in (-math.inf, 0.0):
         assert policies.resolve(np.array([z]), GRID, True) == (0, 0)
@@ -223,7 +226,7 @@ def test_key_beyond_float_range_is_minus_inf():
     assert key_of(log_z, params, True).tolist() == [-math.inf] * 2
     assert key_of(log_z.item(0), params, True) == -math.inf
     assert key_of(log_z[0], params, True) == -math.inf
-    assert policies.resolve(log_z, params, True) == (None, 0)
+    assert policies.resolve(log_z, params, True) == (-1, 0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -281,18 +284,18 @@ def _key_rows(draw):
 @given(keys=_key_rows(),
        b_offset=st.sampled_from([None, 0, 1, 3, 250, 2**52]))
 def test_resolve_rows_equals_resolve_on_every_row(keys, b_offset):
-    # the one-pass form gives resolve's winner and minislot on every row,
-    # the minislots as exact Python integers up to the domain's edge, so
-    # the durations and the overhead formed from them are resolve's too.
-    # ln(beta) = 1 and ln(delta) = 0 make every key its own ln-timer.
+    # the one-pass form gives resolve's winner (-1 after a collision in
+    # both) and minislot on every row, the minislots as exact Python
+    # integers up to the domain's edge, so the durations and the overhead
+    # formed from them are resolve's too.  ln(beta) = 1 and ln(delta) = 0
+    # make every key its own ln-timer.
     discrete = b_offset is not None
     params = BackoffParams(alpha=2.0, beta=math.e, b_offset=b_offset or 0,
                            delta_scale=1.0)
     assert np.array_equal(key_of(keys, params, discrete), keys)
-    won, slots = policies.resolve_rows(keys, b_offset)
+    won, slots = policies.resolve_rows(keys, params, discrete)
     expected = [policies.resolve(row, params, discrete) for row in keys]
-    assert [None if j < 0 else j for j in won.tolist()] == [
-        j for j, _ in expected]
+    assert won.tolist() == [j for j, _ in expected]
     if b_offset is None:
         assert slots is None
         return
@@ -628,6 +631,11 @@ def _outcome(run_fn, config, kind, params, kwargs, traced):
     63, 35), PolicyKind.IDEALIZED_FRESH_CSMA,
     BackoffParams(alpha=1.5, beta=1.1, b_offset=5),
     dict(prefix=(), markov_q=0.0, horizon_unit="frames")))
+# the same for plain CSMA, whose exponent is 1: frame 1 prints a subnormal
+# timer, whose digits differ from delta * E / alpha
+@example(case=(NetworkConfig(5, (1.0,) * 5, 300, 1), PolicyKind.IDEALIZED_CSMA,
+               BackoffParams(alpha=1.5, delta_scale=1e-320),
+               dict(prefix=(), markov_q=None, horizon_unit="frames")))
 def test_run_equals_reference_frame_loop(case):
     # field-equal results and byte-equal traces, traced or not
     expected, expected_trace = _outcome(reference.run, *case, traced=True)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoisim import ConfigError, PolicyKind, parse_config, preset
+from aoisim import ParameterError, PolicyKind, parse_config, preset
 from aoisim.experiments import (
     ExperimentSpec,
     resolve_points,
@@ -57,13 +57,13 @@ def test_preset_collision_scenarios_use_frame_horizons():
 
 
 def test_preset_unknown_name():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         preset("fig99_nonsense")
 
 
 def test_preset_empty_n_values_is_a_config_error():
     # an empty size list is not the default sizes
-    with pytest.raises(ConfigError, match="sweep_values is empty"):
+    with pytest.raises(ParameterError, match="sweep_values is empty"):
         preset("fig3_symmetric", n_values=())
     assert preset("fig6_beta_collisions", n_values=()).sweep_param == "beta"
 
@@ -81,18 +81,29 @@ def test_resolve_points_sorted_by_sweep_value():
 
 
 def test_spec_requires_sweep_pairing():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
                        n_sources=2, sweep_param="alpha")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
                        n_sources=2, sweep_param="weights",
                        sweep_values=(1.0,))
 
 
 def test_spec_rejects_empty_policies():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         ExperimentSpec(scenario="x", policies=(), n_sources=2)
+
+
+@pytest.mark.parametrize("mistake", [dict(alpha=0.5), dict(horizon=0),
+                                     dict(weights=(1.0, 2.0))])
+def test_spec_mistakes_raise_one_error_type(mistake):
+    # a bad parameter, a bad horizon and a wrong weight count are all
+    # ParameterError, whether the spec or the run finds them
+    with pytest.raises(ParameterError):
+        run_experiment(ExperimentSpec(
+            scenario="x", policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
+            n_sources=3, **{"horizon": 100, **mistake}))
 
 
 @pytest.mark.parametrize("param, values", [
@@ -101,7 +112,7 @@ def test_spec_rejects_empty_policies():
     ("b_offset", (math.nan,)),
 ])
 def test_spec_rejects_fractional_integer_sweep(param, values):
-    with pytest.raises(ConfigError, match="integ"):
+    with pytest.raises(ParameterError, match="integ"):
         ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
                        n_sources=2, sweep_param=param, sweep_values=values)
 
@@ -232,27 +243,27 @@ def test_parse_config_explicit_weights():
 
 
 def test_parse_config_unknown_key_is_an_error():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         parse_config("policies = max_weight\nn_sources = 2\nturbo = on")
 
 
 def test_parse_config_duplicate_key():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         parse_config("n_sources = 2\nn_sources = 3\npolicies = max_weight")
 
 
 def test_parse_config_missing_required_keys():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         parse_config("n_sources = 2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         parse_config("policies = max_weight")
 
 
 def test_parse_config_bad_policy_name():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         parse_config("policies = quantum_csma\nn_sources = 2")
 
 
 def test_parse_config_malformed_line():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ParameterError):
         parse_config("policies max_weight")

@@ -18,11 +18,11 @@ from aoisim.policies import (
     RULES,
     aoi_exponents,
     argmax_decide,
-    contention_keys,
     exponents,
     minislots,
     resolve,
 )
+from reference import contention_keys
 
 
 def _log_rates(frame_age, weights, alpha):
