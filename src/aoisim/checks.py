@@ -73,18 +73,39 @@ def _blocks(trials: int) -> list[int]:
 
 
 def _log_timers(stream: RngStream, log_rate: np.ndarray,
-                samples: int) -> np.ndarray:
-    """ln Z_i = ln E_i - log_rate_i of samples contentions, one row per
-    source.  Row i holds source i's unit_exponentials(samples), drawn row
-    after row into one preallocated block, so the draw's temporaries never
-    span more than one row."""
+                block: np.ndarray) -> np.ndarray:
+    """ln Z_i = ln E_i - log_rate_i of block.shape[1] contentions, one row
+    per source, written over the first len(log_rate) rows of block and
+    returned as a view of them.  Row i holds source i's
+    unit_exponentials; each row is drawn, logged and shifted before the
+    next, while it is still in cache.  A check passes the same block to
+    every state, so it holds one block of timers and one row of fresh
+    draws."""
     log_rate = np.asarray(log_rate, dtype=float)
-    log_z = np.empty((len(log_rate), samples))
-    for row in log_z:
-        row[:] = stream.unit_exponentials(samples)
-    np.log(log_z, out=log_z)
-    log_z -= log_rate[:, None]
+    log_z = block[:len(log_rate)]
+    for row, lr in zip(log_z, log_rate.tolist()):
+        row[:] = stream.unit_exponentials(len(row))
+        np.log(row, out=row)
+        row -= lr
     return log_z
+
+
+def _win_counts(log_z: np.ndarray) -> np.ndarray:
+    """np.bincount(np.argmin(log_z, axis=0), minlength=len(log_z)): per
+    row, the number of columns whose first minimum it holds.
+
+    Each row counts its entries equal to their column's minimum: one
+    reduction per row, where argmin reduces one column at a time.  A
+    column with a tied minimum counts in every tied row and a NaN column
+    in none, so the counts then miss the column count and argmin's
+    first-index rule recounts every column.  (A tie and a NaN column
+    could cancel out; the checks' timers are finite.)
+    """
+    low = log_z.min(axis=0)
+    counts = np.array([np.count_nonzero(row == low) for row in log_z])
+    if counts.sum() != log_z.shape[1]:
+        counts = np.bincount(np.argmin(log_z, axis=0), minlength=len(log_z))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +160,15 @@ def check_winner_distribution(trials: int = 20, samples: int = 100_000,
     closed-form distribution within 3 Monte Carlo standard errors."""
     stream = _state_stream(seed, trials=trials, samples=samples)
     grid = [(n, alpha) for n in (2, 5, 10) for alpha in (1.1, 2.0, 9.0)]
+    block = np.empty((max(n for n, _ in grid), samples))
     worst = math.inf
     for s in range(trials):
         n, alpha = grid[s % len(grid)]
         ages = np.array([1 + stream.integer(8) for _ in range(n)])
         exponent = aoi_exponents(ages, np.ones(n))
         probs = scheduling_probabilities(alpha, exponent)
-        log_z = _log_timers(stream, exponent * math.log(alpha), samples)
-        wins = np.bincount(np.argmin(log_z, axis=0), minlength=n) / samples
+        log_z = _log_timers(stream, exponent * math.log(alpha), block)
+        wins = _win_counts(log_z) / samples
         stderr = np.sqrt(probs * (1.0 - probs) / samples)
         margin = float((3.0 * stderr - np.abs(wins - probs)).min())
         worst = min(worst, margin)
@@ -191,6 +213,7 @@ def check_distinct_timer_bound(samples: int = 100_000,
     log_rates = (0.0, 10.0, 20.0)
     betas = (1.1, 1.5, 2.0)
     b_grid = (0, 10, 250)
+    block = np.empty((2, samples))
     worst = math.inf
     cells = 0
     for lri in log_rates:
@@ -199,9 +222,10 @@ def check_distinct_timer_bound(samples: int = 100_000,
                 prev = -math.inf
                 for b in b_grid:
                     params = BackoffParams(alpha=2.0, beta=beta, b_offset=b)
-                    key = key_of(_log_timers(stream, (lri, lrj), samples),
-                                 params, discrete=True)
-                    d = minislots(key, b)
+                    log_z = _log_timers(stream, (lri, lrj), block)
+                    # keys, then minislots, overwrite the timers
+                    d = minislots(key_of(log_z, params, discrete=True,
+                                         out=log_z), b, out=log_z)
                     distinct = int(np.count_nonzero(d[0] != d[1]))
                     # Laplace-smoothed, so the error cannot vanish when
                     # every pair lands on the same side
@@ -231,6 +255,8 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
     bound at random states."""
     stream = _state_stream(seed, least_n=1, trials=trials, samples=samples,
                            n=n)
+    block = np.empty((n, samples))
+    low = np.empty(samples)
     worst = math.inf
     for _ in range(trials):
         ages = np.array([1 + stream.integer(10) for _ in range(n)])
@@ -238,11 +264,12 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
         params = BackoffParams(alpha=1.2, beta=1.0 + 0.1 + 0.4 * stream.uniform(),
                                b_offset=200 + stream.integer(100))
         log_z = _log_timers(stream, aoi_exponents(ages, weights)
-                            * params.ln_alpha, samples)
+                            * params.ln_alpha, block)
         # the grid map is monotone, so the winning minislot is the
-        # minimum timer's
-        key = key_of(log_z.min(axis=0), params, discrete=True)
-        mean_d = float(minislots(key, params.b_offset).mean())
+        # minimum timer's; its key, then its minislot, overwrite it
+        log_z.min(axis=0, out=low)
+        key = key_of(low, params, discrete=True, out=low)
+        mean_d = float(minislots(key, params.b_offset, out=low).mean())
         bound = overhead_upper_bound(ages, weights, params, minislots=True)
         worst = min(worst, bound - mean_d)
     return CheckResult(name="idle-time upper bound", ok=worst >= 0.0,

@@ -27,6 +27,15 @@ class ParameterError(ValueError):
 # Seeded randomness
 # ---------------------------------------------------------------------------
 
+def _check_counts(method: str, size: "int | tuple[int, ...]") -> None:
+    """Raise ParameterError naming size, a count or a shape, when a count
+    in it is negative; numpy would only say that negative dimensions are
+    not allowed."""
+    if min((size,) if np.ndim(size) == 0 else size, default=0) < 0:
+        raise ParameterError(
+            f"{method}() needs non-negative counts, got {size}")
+
+
 class RngStream:
     """A reproducible pseudorandom substream.
 
@@ -72,19 +81,25 @@ class RngStream:
         bulk draws maps onto the underlying generator differently than
         scalar draws alone would.
         """
+        _check_counts("uniforms", size)
         return self._gen.random(size)
 
     def unit_exponentials(self, n: int) -> np.ndarray:
-        """Bulk inverse-CDF draws from exp(1); strictly positive.
+        """Bulk inverse-CDF draws -log1p(-u) from exp(1); strictly positive.
 
         Zero uniforms are redrawn in place and numpy's log1p is used, so
-        the values are not those of exponential_sequence.
+        the values are not those of exponential_sequence.  The map runs
+        in place on the drawn uniforms (negation is exact), so a draw
+        allocates its result and nothing else.
         """
+        _check_counts("unit_exponentials", n)
         u = self._gen.random(n)
-        while np.any(u == 0.0):
+        while not u.all():
             zeros = u == 0.0
             u[zeros] = self._gen.random(int(zeros.sum()))
-        return -np.log1p(-u)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        return np.negative(u, out=u)
 
     def exponential_sequence(self, n: int) -> np.ndarray:
         """The next n terms of this stream's exp(1) sequence.
@@ -96,6 +111,7 @@ class RngStream:
         vector log1p can differ from it in the last bit, which would move
         float ties between timers.  A term of 0.0 is a zero uniform.
         """
+        _check_counts("exponential_sequence", n)
         e = self._gen.standard_exponential(n, method="inv")
         while not e.all():
             e = e[e != 0.0]
@@ -113,6 +129,7 @@ class RngStream:
         """Uniform integers in [0, n) from bulk uniforms (see uniforms())."""
         if n <= 0:
             raise ParameterError(f"integers() needs n >= 1, got {n}")
+        _check_counts("integers", shape)
         return np.minimum((self.uniforms(shape) * n).astype(np.int64), n - 1)
 
 

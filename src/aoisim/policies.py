@@ -121,7 +121,8 @@ def stationary_randomized_probs(weights: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def key_of(log_z: "np.ndarray | float", params: BackoffParams,
-           discrete: bool) -> "np.ndarray | float":
+           discrete: bool, out: np.ndarray | None = None
+           ) -> "np.ndarray | float":
     """The comparison key of each ln-timer ln Z; the smallest key wins.
 
     The idealized model compares ln(delta * Z) = ln(delta) + ln Z, and
@@ -132,24 +133,30 @@ def key_of(log_z: "np.ndarray | float", params: BackoffParams,
     an array, and non-decreasing, so they keep the order of ln-timers
     but may merge adjacent ones.  A quotient beyond float range rounds
     to -inf, which lands in minislot 0 as every key at or below -B does.
+    out, as in numpy, receives the keys of an array; it may be log_z.
     """
     if discrete:
         if type(log_z) is float:
             return log_z / params.ln_beta
         with np.errstate(over="ignore"):
-            return np.divide(log_z, params.ln_beta)
-    return params.ln_delta_scale + log_z
+            return np.divide(log_z, params.ln_beta, out=out)
+    if out is None:
+        return params.ln_delta_scale + log_z
+    return np.add(params.ln_delta_scale, log_z, out=out)
 
 
-def minislots(key: "np.ndarray | float", b_offset: int) -> np.ndarray:
+def minislots(key: "np.ndarray | float", b_offset: int,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The minislot max(B + floor(key), 0) of each near-realistic key, as
     floats.
 
     The map is monotone, so the smallest key holds the winning minislot,
     and -inf lands in minislot 0.  Every minislot is exact within
-    BackoffParams' domain.
+    BackoffParams' domain.  out, as in numpy, receives the minislots; it
+    may be key.
     """
-    return np.maximum(b_offset + np.floor(key), 0.0)
+    return np.maximum(np.add(b_offset, np.floor(key, out=out), out=out), 0.0,
+                      out=out)
 
 
 def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool

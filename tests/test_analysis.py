@@ -136,8 +136,8 @@ def test_separation_term_extreme_rates_stay_in_unit_interval():
 def _distinct_share(lri, lrj, params, samples, seed):
     """Monte Carlo share of timer pairs in different minislots, and its
     Laplace-smoothed standard error."""
-    key = contention_keys(_log_timers(RngStream(seed), (lri, lrj), samples),
-                          0.0, params, discrete=True)
+    log_z = _log_timers(RngStream(seed), (lri, lrj), np.empty((2, samples)))
+    key = contention_keys(log_z, 0.0, params, discrete=True)
     d = minislots(key, params.b_offset)
     distinct = int(np.count_nonzero(d[0] != d[1]))
     p_smooth = (distinct + 1) / (samples + 2)
@@ -202,7 +202,8 @@ def test_overhead_bound_sampled_mean_stays_below():
     params = BackoffParams(alpha=1.3, beta=1.25, b_offset=120)
     bound = overhead_upper_bound(ages, weights, params, minislots=True)
     log_z = _log_timers(RngStream(63),
-                        aoi_exponents(ages, weights) * params.ln_alpha, 100_000)
+                        aoi_exponents(ages, weights) * params.ln_alpha,
+                        np.empty((5, 100_000)))
     d = minislots(contention_keys(log_z, 0.0, params, discrete=True),
                   params.b_offset).min(axis=0)
     assert float(d.mean()) <= bound

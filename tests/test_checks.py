@@ -93,6 +93,20 @@ def test_block_checks_cover_every_state(monkeypatch):
     assert check_drift_dominance(trials=300).ok
 
 
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(1, 10).flatmap(lambda n: arrays(
+    float, st.tuples(st.just(n), st.integers(1, 12)),
+    elements=st.integers(-2, 2).map(float))))
+def test_win_counts_give_each_column_to_its_first_minimum(x):
+    # small integers tie often, and a tied column goes to its first
+    # minimum as argmin's does
+    n = len(x)
+    expected = np.bincount(np.argmin(x, axis=0), minlength=n)
+    assert checks._win_counts(x).tolist() == expected.tolist()
+    equal = np.full((n, x.shape[1]), 3.0)
+    assert checks._win_counts(equal).tolist() == [x.shape[1]] + [0] * (n - 1)
+
+
 # Ln-timers in grid units above the slot-0 edge -B ln(beta): near the
 # edge, on slot boundaries, far below and far above it, and -inf.
 _GRID_UNITS = st.one_of(st.floats(-12.0, 4.0), st.integers(-12, 4).map(float),

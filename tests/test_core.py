@@ -121,6 +121,40 @@ def test_exponential_sequence_skips_zero_uniforms():
     assert stream._gen.values == [0.0, 0.625]
 
 
+@pytest.mark.parametrize("seed,path,n", [(31, (5,), 50), (7, (2,), 100_000),
+                                         (0, (), 1), (9, (1, 2), 0)])
+def test_unit_exponentials_are_numpy_log1p_of_the_stream_uniforms(seed, path, n):
+    u = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((seed, *path)))).random(n)
+    got = RngStream(seed, path).unit_exponentials(n)
+    assert got.tobytes() == (-np.log1p(-u)).tobytes()
+
+
+def test_unit_exponentials_redraw_zero_uniforms():
+    # both zeros are redrawn from the next two values; the second redraw
+    # is zero again, so it takes one more
+    values = [0.5, 0.0, 0.25, 0.0, 0.75, 0.0, 0.125, 0.375]
+    stream = _scripted(values)
+    got = stream.unit_exponentials(4)
+    assert got.tobytes() == (-np.log1p(-np.array([0.5, 0.75, 0.25, 0.125]))
+                             ).tobytes()
+    assert stream._gen.values == [0.375]
+
+
+@pytest.mark.parametrize("method,args,count", [
+    ("uniforms", (-1,), "-1"),
+    ("uniforms", ((3, -2),), "(3, -2)"),
+    ("unit_exponentials", (-1,), "-1"),
+    ("exponential_sequence", (-4,), "-4"),
+    ("integers", (5, (2, -1)), "(2, -1)"),
+])
+def test_draws_reject_negative_counts(method, args, count):
+    # a ParameterError naming the count, not numpy's bare ValueError
+    with pytest.raises(ParameterError, match=re.escape(
+            f"{method}() needs non-negative counts, got {count}")):
+        getattr(RngStream(3), method)(*args)
+
+
 # ---------------------------------------------------------------------------
 # Exponential timers in log domain
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from aoisim.policies import (
     aoi_exponents,
     argmax_decide,
     exponents,
+    key_of,
     minislots,
     resolve,
 )
@@ -215,6 +216,35 @@ def test_minislots_keep_keys_beyond_integer_range_in_order():
     assert slots.tolist() == [1e300, 255.0]
     assert slots[0] > slots[1]
     assert minislots(np.array([-math.inf, -300.0]), 250).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("beta,b_offset", [(1.1, 250), (1.0 + 2**-40, 0),
+                                           (4.0, 3)])
+def test_grid_map_in_place_equals_the_grid_rule(beta, b_offset):
+    # -0.0, +-inf, keys beyond 2**53 and, at beta = 1 + 2**-40, ln Z of
+    # -1e300 whose quotient overflows to -inf: the map written into out is
+    # the allocating one bit for bit, and warns of nothing
+    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
+    log_z = np.array([-0.0, 0.0, math.inf, -math.inf, 1e300, -1e300,
+                      2.0**60, -2.0**60, 3.7, -3.7, -250.5])
+    given = log_z.copy()
+    keys = key_of(log_z, params, True)
+    kept = keys.copy()
+    expected = np.maximum(b_offset + np.floor(keys), 0.0)
+    assert minislots(keys, b_offset).tobytes() == expected.tobytes()
+    assert keys.tobytes() == kept.tobytes()
+    assert log_z.tobytes() == given.tobytes()
+    out = np.empty_like(log_z)
+    assert key_of(log_z, params, True, out=out) is out
+    assert out.tobytes() == kept.tobytes()
+    assert minislots(out, b_offset, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert log_z.tobytes() == given.tobytes()
+    assert key_of(log_z, params, False, out=out) is out
+    assert out.tobytes() == key_of(log_z, params, False).tobytes()
+    got = minislots(key_of(log_z, params, True, out=log_z), b_offset,
+                    out=log_z)
+    assert got is log_z and got.tobytes() == expected.tobytes()
 
 
 def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
