@@ -10,6 +10,8 @@ subcommand maps stable ids onto these functions.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,21 +74,100 @@ def _blocks(trials: int) -> list[int]:
     return [min(_BLOCK, trials - start) for start in range(0, trials, _BLOCK)]
 
 
+def _worker_count() -> int:
+    """The cores this process may run on, and so the column ranges one
+    timer block is split into."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool_lock = threading.Lock()
+_pool = None  # (pid, ThreadPoolExecutor) once a block has been split
+
+
+def _executor(threads: int):
+    """The process's pool of timer threads, started on first use.  A forked
+    child cannot use its parent's threads, so it starts its own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), ThreadPoolExecutor(
+                threads, thread_name_prefix="aoisim-timers"))
+        return _pool[1]
+
+
+def _fill_columns(gen: np.random.Generator, log_rate: list[float],
+                  log_z: np.ndarray, c0: int, c1: int) -> bool:
+    """Write ln E - log_rate_i over columns [c0, c1) of every row i of
+    log_z, E = -log1p(-u) as unit_exponentials maps it, from gen placed at
+    offset c0 of the state's draws; gen steps over the other columns
+    between rows.  Returns False, leaving the range unfinished, at a zero
+    uniform, which unit_exponentials would redraw."""
+    skip = log_z.shape[1] - (c1 - c0)
+    for i, lr in enumerate(log_rate):
+        if i:
+            gen.bit_generator.advance(skip)
+        cols = log_z[i, c0:c1]
+        gen.random(out=cols)
+        if cols.min() == 0.0:
+            return False
+        np.negative(cols, out=cols)
+        np.log1p(cols, out=cols)
+        np.negative(cols, out=cols)
+        np.log(cols, out=cols)
+        cols -= lr
+    return True
+
+
 def _log_timers(stream: RngStream, log_rate: np.ndarray,
                 block: np.ndarray) -> np.ndarray:
     """ln Z_i = ln E_i - log_rate_i of block.shape[1] contentions, one row
     per source, written over the first len(log_rate) rows of block and
     returned as a view of them.  Row i holds source i's
-    unit_exponentials; each row is drawn, logged and shifted before the
-    next, while it is still in cache.  A check passes the same block to
-    every state, so it holds one block of timers and one row of fresh
-    draws."""
+    unit_exponentials, as if drawn one row after another; a check passes
+    the same block to every state, so it holds one block of timers.
+
+    The columns are split into one range per usable core.  Each range is
+    filled row by row, while it is in cache, from its own generator
+    jumped ahead to the range's offset in every row, the calling thread
+    filling the first, so the values do not depend on the core count.  A
+    zero uniform anywhere moves the stream back and refills the rows one
+    after another through unit_exponentials, whose redraw shifts every
+    later draw.
+    """
     log_rate = np.asarray(log_rate, dtype=float)
+    if (block.dtype != np.float64 or block.ndim != 2
+            or not block.flags.c_contiguous or len(block) < len(log_rate)):
+        raise ParameterError(
+            f"timers of {log_rate.shape} rates need a C-contiguous float64 "
+            f"block with at least {len(log_rate)} rows, got a "
+            f"{'' if block.flags.c_contiguous else 'non-contiguous '}"
+            f"{block.dtype} block of shape {block.shape}")
     log_z = block[:len(log_rate)]
-    for row, lr in zip(log_z, log_rate.tolist()):
-        row[:] = stream.unit_exponentials(len(row))
-        np.log(row, out=row)
-        row -= lr
+    rates = log_rate.tolist()
+    samples = log_z.shape[1]
+    workers = _worker_count()
+    cuts = [samples * k // workers for k in range(workers + 1)]
+    ranges = [(c0, c1) for c0, c1 in zip(cuts, cuts[1:]) if c0 < c1]
+    gens = stream.jump_ahead([c0 for c0, _ in ranges], log_z.size)
+    jobs = [_executor(workers - 1).submit(_fill_columns, gen, rates, log_z,
+                                          *cols)
+            for gen, cols in zip(gens[1:], ranges[1:])]
+    try:
+        clean = not ranges or _fill_columns(gens[0], rates, log_z,
+                                            *ranges[0])
+    finally:
+        # no thread may still write into the block once this returns
+        done = [job.result() for job in jobs]
+    if not (clean and all(done)):
+        stream.jump_ahead((), -log_z.size)
+        for row, lr in zip(log_z, rates):
+            row[:] = stream.unit_exponentials(samples)
+            np.log(row, out=row)
+            row -= lr
     return log_z
 
 

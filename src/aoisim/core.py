@@ -57,6 +57,7 @@ class RngStream:
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self._buf = np.empty(0)
         self._pos = 0
+        self._jumped: list[np.random.Generator] = []
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"
@@ -100,6 +101,31 @@ class RngStream:
         np.negative(u, out=u)
         np.log1p(u, out=u)
         return np.negative(u, out=u)
+
+    def jump_ahead(self, offsets: Sequence[int],
+                   total: int) -> list[np.random.Generator]:
+        """Generators at the given offsets of this stream's bulk sequence,
+        with the stream itself moved past its next total bulk draws.
+
+        A generator at offset k next draws what uniforms(k + 1)[-1] would
+        return now: offsets count from the stream's generator, not from
+        uniform()'s cache, as every bulk draw does.  Each generator is
+        independent of the stream and of the others, so threads can fill
+        disjoint ranges of one sequence with the bits sequential calls
+        would give.  The stream reuses them, so they are valid until its
+        next jump_ahead.  PCG64 advances modulo 2**128 in O(log k) steps
+        (O'Neill's LCG jump-ahead), so jump_ahead((), -total) moves the
+        stream back.
+        """
+        state = self._gen.bit_generator.state
+        while len(self._jumped) < len(offsets):
+            self._jumped.append(np.random.Generator(np.random.PCG64(0)))
+        gens = self._jumped[:len(offsets)]
+        for gen, k in zip(gens, offsets):
+            gen.bit_generator.state = state
+            gen.bit_generator.advance(k)
+        self._gen.bit_generator.advance(total)
+        return gens
 
     def exponential_sequence(self, n: int) -> np.ndarray:
         """The next n terms of this stream's exp(1) sequence.

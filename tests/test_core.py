@@ -141,6 +141,18 @@ def test_unit_exponentials_redraw_zero_uniforms():
     assert stream._gen.values == [0.375]
 
 
+def test_jump_ahead_places_generators_in_the_bulk_sequence():
+    ref = RngStream(17, (3,)).uniforms(60)
+    stream = RngStream(17, (3,))
+    offsets = (0, 7, 41)
+    for gen, k in zip(stream.jump_ahead(offsets, 50), offsets):
+        assert gen.random(5).tobytes() == ref[k:k + 5].tobytes()
+    assert stream.uniforms(10).tobytes() == ref[50:].tobytes()
+    # a negative total moves the stream back
+    stream.jump_ahead((), -60)
+    assert stream.uniforms(60).tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("method,args,count", [
     ("uniforms", (-1,), "-1"),
     ("uniforms", ((3, -2),), "(3, -2)"),
