@@ -189,16 +189,15 @@ def _checked_weights(n_sources: int, weights: Sequence[float]
 class NetworkConfig:
     """Static description of one single-hop network run.
 
-    theorem_exact restricts weights to positive integers, which the
-    per-frame match and drift guarantees assume; the default leaves
-    weights free (sqrt-of-index weights are a standard benchmark).
+    Weights are any positive finite floats (sqrt-of-index weights are a
+    standard benchmark); the per-frame match and drift guarantees are
+    stated for integer weights.
     """
 
     n_sources: int
     weights: tuple[float, ...]
     horizon_frames: int
     seed: int
-    theorem_exact: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "weights",
@@ -207,11 +206,6 @@ class NetworkConfig:
             raise ParameterError(f"horizon_frames must be >= 1, got {self.horizon_frames}")
         if not 0 <= self.seed <= _SEED_MASK:
             raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.theorem_exact:
-            bad = [w for w in self.weights if w != int(w)]
-            if bad:
-                raise ParameterError(
-                    f"theorem-exactness mode requires integer weights, got {bad}")
 
     @property
     def weights_array(self) -> np.ndarray:
@@ -225,20 +219,15 @@ class BackoffParams:
     alpha drives the state-dependent rate alpha**exponent, beta and
     b_offset control the log-scale minislot discretization, and
     minislots_per_update (M) is the update transmission length in
-    minislots.  delta_scale rescales the continuous idealized timers.
-    It keeps their order, but the key ln(delta) + ln Z is rounded, so
-    two adjacent ln-timers can share one key and collide where delta = 1
-    keeps them apart (policies.key_of).  ln_alpha, ln_beta and
-    ln_delta_scale are their natural logs, taken once at construction;
-    they are not fields, so repr, equality and hashing see the five
-    parameters alone.
+    minislots; b_offset and M are whole numbers.  ln_alpha and ln_beta
+    are their natural logs, taken once at construction; they are not
+    fields, so repr, equality and hashing see the four parameters alone.
     """
 
     alpha: float
     beta: float = 1.1
     b_offset: int = 250
     minislots_per_update: int = 10_000
-    delta_scale: float = 0.01
 
     def __post_init__(self):
         if not 1.0 < self.alpha < math.inf:
@@ -250,17 +239,19 @@ class BackoffParams:
         # that the stated edge is accepted.
         if not 1.0 + 2**-40 <= self.beta < math.inf:
             raise ParameterError(f"beta must be finite and >= 1 + 2**-40, got {self.beta}")
+        # B and M count minislots: resolve forms B + floor(key) in floats
+        # and resolve_rows in int64, which agree only on whole numbers.
+        for name in ("b_offset", "minislots_per_update"):
+            if not float(getattr(self, name)).is_integer():
+                raise ParameterError(
+                    f"{name} must be a whole number, got {getattr(self, name)}")
         if not 0 <= self.b_offset <= 2**52:
             raise ParameterError(f"b_offset must be in [0, 2**52], got {self.b_offset}")
         if self.minislots_per_update < 1:
             raise ParameterError(
                 f"minislots_per_update must be >= 1, got {self.minislots_per_update}")
-        if not 0.0 < self.delta_scale <= 1.0:
-            raise ParameterError(
-                f"delta_scale must be in (0, 1], got {self.delta_scale}")
         object.__setattr__(self, "ln_alpha", math.log(self.alpha))
         object.__setattr__(self, "ln_beta", math.log(self.beta))
-        object.__setattr__(self, "ln_delta_scale", math.log(self.delta_scale))
 
 
 # ---------------------------------------------------------------------------

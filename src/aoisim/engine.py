@@ -15,9 +15,10 @@ every frame age grows by one and every mismatch age follows its source's
 true states against an estimate that does not move, so at a block's
 start the exponents and ln-timers ln Z = ln E - ln rate of all its
 frames are formed at once, as if nobody delivered.  The block holds ln Z,
-not keys: the key map (policies.key_of) is non-decreasing, so it is
-applied only where values are compared, inside policies.resolve and
-policies.resolve_rows, and to the trace rows.
+not keys.  The idealized model compares ln Z itself; the minislot grid's
+key map (policies.key_of) is non-decreasing, so it is applied only where
+values are compared, inside policies.resolve and policies.resolve_rows,
+and to the trace rows.
 
 Each block then takes two passes.  The walk only decides: it resolves
 each frame from its row, which resolve masks and restores in place (so
@@ -78,7 +79,8 @@ class SimulationResult:
     in the idealized model, the duration-weighted mean of the wall-clock
     age sampled at frame starts in the near-realistic model
     (per_source_avg_frame_aoi carries the frame-count mean in both).
-    normalized_weighted_avg_aoi is (1/N) sum_i w_i * avg_i.
+    normalized_weighted_avg_aoi is (1/N) sum_i w_i * avg_i.  The run's
+    seed is config.seed.
     """
 
     policy: PolicyKind
@@ -93,7 +95,6 @@ class SimulationResult:
     elapsed_time: float
     config: NetworkConfig
     params: BackoffParams | None
-    seed: int
 
 
 def substreams(seed: int, prefix: tuple[int, ...], kind: PolicyKind,
@@ -252,8 +253,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
     frame cap (max_frames, at least 1, default 100x the target) turns a
     non-delivering configuration into an error instead of a hang.  A
     frames horizon takes no cap.  trace, if given, receives one line per
-    frame, whose min_timer is the winner's key read back as a timer: its
-    minislot on the grid, delta * Z in the idealized model.
+    frame, whose min_timer is the winner's timer: its minislot on the
+    grid, Z in the idealized model.
     """
     if horizon_unit not in ("frames", "deliveries"):
         raise ParameterError(f"unknown horizon_unit {horizon_unit!r}")
@@ -439,8 +440,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     tied = (minislots(row, params.b_offset) == slots[r]
                             if discrete else row == row.min())
                     winners = np.flatnonzero(tied).tolist()
-                    timer = (slots[r] if discrete else
-                             params.delta_scale * np.exp(now[r])[winners[0]])
+                    timer = (slots[r] if discrete
+                             else np.exp(now[r])[winners[0]])
                 duration = durations[r] if discrete else 1.0
                 trace.write(f"frame={first + r + 1} min_timer={timer:g} "
                             f"winners={','.join(map(str, winners))} "
@@ -475,5 +476,4 @@ def run(config: NetworkConfig, kind: PolicyKind,
         elapsed_time=elapsed,
         config=config,
         params=params,
-        seed=config.seed,
     )

@@ -64,7 +64,6 @@ class ExperimentSpec:
     beta: float | None = None
     b_offset: int | None = None
     minislots_per_update: int = 10_000
-    delta_scale: float = 0.01
     aoii_defaults: bool = False
     log_base: float = 10.0
     sweep_param: str | None = None
@@ -129,7 +128,6 @@ def resolve_points(spec: ExperimentSpec) -> list[SweepPoint]:
         base = recommended_defaults(n, weights, aoii=spec.aoii_defaults,
                                     log_base=spec.log_base)
         params = replace(base, minislots_per_update=spec.minislots_per_update,
-                         delta_scale=spec.delta_scale,
                          **{k: v for k, v in fixed.items() if v is not None})
         config = NetworkConfig(n_sources=n, weights=weights,
                                horizon_frames=spec.horizon,
@@ -320,7 +318,6 @@ _CONFIG_KEYS = {
     "beta": ("beta", float),
     "b_offset": ("b_offset", int),
     "minislots_per_update": ("minislots_per_update", int),
-    "delta_scale": ("delta_scale", float),
     "markov_q": ("markov_q", float),
     "sweep_param": ("sweep_param", str),
     "sweep_values": ("sweep_values", _floats),

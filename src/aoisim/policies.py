@@ -4,10 +4,11 @@ Every rule is a function of one per-source exponent e_i (see exponents).
 A centralized rule schedules one source per frame: the argmax of e_i, or
 a state-independent draw.  Under distributed contention every source
 draws a backoff timer Z_i at rate alpha**e_i, held as ln Z_i; a
-non-decreasing map turns ln Z_i into a comparison key (key_of).  In the
-near-realistic model a key k lands in minislot max(B + floor(k), 0)
-(minislots).  A contention is resolved from its ln Z row (resolve) or
-from a block of ln Z rows in one pass (resolve_rows); both take
+non-decreasing map turns ln Z_i into a comparison key (key_of): ln Z_i
+itself in the idealized model, log_beta Z_i in the near-realistic model,
+where a key k lands in minislot max(B + floor(k), 0) (minislots).  A
+contention is resolved from its ln Z row (resolve) or from a block of
+ln Z rows in one pass (resolve_rows); both take
 (log_z, params, discrete) and report a collision as -1.  This module is
 the one place that rule is written down: the engine and the checks call
 it.  RULES says, per PolicyKind, which rule runs, which signal the
@@ -125,24 +126,23 @@ def key_of(log_z: "np.ndarray | float", params: BackoffParams,
            ) -> "np.ndarray | float":
     """The comparison key of each ln-timer ln Z; the smallest key wins.
 
-    The idealized model compares ln(delta * Z) = ln(delta) + ln Z, and
-    equal keys tie.  The near-realistic model's key is log_beta Z =
-    ln Z / ln(beta); the timer lands in minislot max(B + floor(key), 0)
-    (minislots), and keys in the same minislot tie (see resolve).  Both
-    maps are one correctly rounded operation, the same on a float as on
-    an array, and non-decreasing, so they keep the order of ln-timers
-    but may merge adjacent ones.  A quotient beyond float range rounds
-    to -inf, which lands in minislot 0 as every key at or below -B does.
-    out, as in numpy, receives the keys of an array; it may be log_z.
+    The idealized model compares ln Z itself, and equal ln-timers tie;
+    its key is ln Z, or a copy written to out.  The near-realistic
+    model's key is log_beta Z = ln Z / ln(beta); the timer lands in
+    minislot max(B + floor(key), 0) (minislots), and keys in the same
+    minislot tie (see resolve).  That map is one correctly rounded
+    operation, the same on a float as on an array, and non-decreasing,
+    so it keeps the order of ln-timers but may merge adjacent ones.  A
+    quotient beyond float range rounds to -inf, which lands in minislot
+    0 as every key at or below -B does.  out, as in numpy, receives the
+    keys of an array; it may be log_z.
     """
-    if discrete:
-        if type(log_z) is float:
-            return log_z / params.ln_beta
-        with np.errstate(over="ignore"):
-            return np.divide(log_z, params.ln_beta, out=out)
-    if out is None:
-        return params.ln_delta_scale + log_z
-    return np.add(params.ln_delta_scale, log_z, out=out)
+    if not discrete:
+        return log_z if out is None else np.positive(log_z, out=out)
+    if type(log_z) is float:
+        return log_z / params.ln_beta
+    with np.errstate(over="ignore"):
+        return np.divide(log_z, params.ln_beta, out=out)
 
 
 def minislots(key: "np.ndarray | float", b_offset: int,
@@ -166,12 +166,12 @@ def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
     The smallest key (key_of) wins.  The key map is non-decreasing, so
     the smallest and second-smallest keys are those of the smallest ln Z
     and of the runner-up: the smallest ln Z once the minimum is masked
-    to +inf.  In the idealized model a runner-up key equal to the
-    minimum collides.  In the near-realistic model the frame collides
-    when the runner-up shares the minimum's minislot, i.e. its key lies
-    below max(floor(k_min), -B) + 1.  Only the minimum is discretized;
-    within BackoffParams' domain that is exact and agrees with
-    minislots.  On a delivery the minimum key is unique, so the argmin
+    to +inf.  In the idealized model the key is ln Z, and a runner-up
+    equal to the minimum collides.  In the near-realistic model the
+    frame collides when the runner-up shares the minimum's minislot,
+    i.e. its key lies below max(floor(k_min), -B) + 1.  Only the minimum
+    is discretized; within BackoffParams' domain that is exact and agrees
+    with minislots.  On a delivery the minimum key is unique, so the argmin
     of ln Z is the winner.  log_z must be writable; it comes back
     unchanged.  Returns the delivered source (-1 after a collision) and
     the winning minislot as an int (None in the idealized model).
@@ -179,11 +179,11 @@ def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
     j = int(log_z.argmin())
     z = log_z.item(j)
     log_z[j] = math.inf
-    runner_up = key_of(log_z.item(log_z.argmin()), params, discrete)
+    runner_up = log_z.item(log_z.argmin())
     log_z[j] = z
-    k = key_of(z, params, discrete)
     if not discrete:
-        return (-1 if runner_up == k else j), None
+        return (-1 if runner_up == z else j), None
+    k, runner_up = key_of(z, params, True), key_of(runner_up, params, True)
     b_offset = params.b_offset
     # max(floor(k), -B), clamped first: -B is an integer, -inf has no int floor
     floor_k = math.floor(max(k, -b_offset))
@@ -195,11 +195,11 @@ def resolve_rows(log_z: np.ndarray, params: BackoffParams, discrete: bool
     """resolve applied to each row of ln-timers, shape (contentions,
     sources), in one pass.
 
-    A row collides when its two smallest keys are equal in the idealized
-    model, or share a minislot on the grid.  Returns the delivered
-    source per row, -1 after a collision, and the winning minislots as
-    integers (None in the idealized model), which are exact within
-    BackoffParams' domain.
+    A row collides when its two smallest ln-timers are equal in the
+    idealized model, or share a minislot on the grid.  Returns the
+    delivered source per row, -1 after a collision, and the winning
+    minislots as integers (None in the idealized model), which are exact
+    within BackoffParams' domain.
     """
     keys = key_of(log_z, params, discrete)
     # each row's two smallest keys; a lone source's runner-up is +inf

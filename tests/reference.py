@@ -242,8 +242,7 @@ def run(config: NetworkConfig, kind: PolicyKind,
                 if rule.discrete:
                     timer = slot
                 else:
-                    timer = float(params.delta_scale
-                                  * np.exp(log_e - log_rate)[winners[0]])
+                    timer = float(np.exp(log_e - log_rate)[winners[0]])
             trace.write(f"frame={frames} min_timer={timer:g} "
                         f"winners={','.join(map(str, winners))} "
                         f"collided={int(delivered is None)} "
@@ -267,5 +266,4 @@ def run(config: NetworkConfig, kind: PolicyKind,
         elapsed_time=elapsed,
         config=config,
         params=params,
-        seed=config.seed,
     )

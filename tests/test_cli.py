@@ -61,9 +61,10 @@ def test_simulate_horizon_and_seed_overrides(tmp_path):
 
 def test_simulate_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("policies = max_weight\nn_sources = 2\nwarp = 9")
-    assert main(["simulate", "--config", str(cfg)]) == 2
-    assert "unknown key" in capsys.readouterr().err
+    for line in ("warp = 9", "delta_scale = 0.01"):
+        cfg.write_text(f"policies = max_weight\nn_sources = 2\n{line}")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
 
 
 def test_simulate_missing_file_exits_2(tmp_path):

@@ -23,7 +23,7 @@ from aoisim.analysis import log_sum_exp
 from aoisim.policies import minislots
 from reference import AgeState, contention_keys, frame_step
 
-UNIT_DELTA = BackoffParams(alpha=2.0, delta_scale=1.0)
+IDEAL = BackoffParams(alpha=2.0)
 
 
 class ScriptedGenerator:
@@ -172,13 +172,13 @@ def test_draws_reject_negative_counts(method, args, count):
 # ---------------------------------------------------------------------------
 
 def test_sample_exponential_rate_one_identity():
-    key = contention_keys(np.log([0.693]), 0.0, UNIT_DELTA, discrete=False)
+    key = contention_keys(np.log([0.693]), 0.0, IDEAL, discrete=False)
     assert math.exp(key[0]) == pytest.approx(0.693)
 
 
 def test_sample_exponential_rate_two():
     # E / rate by hand: 0.693 / 2
-    key = contention_keys(np.log([0.693]), math.log(2.0), UNIT_DELTA,
+    key = contention_keys(np.log([0.693]), math.log(2.0), IDEAL,
                           discrete=False)
     assert math.exp(key[0]) == pytest.approx(0.3465, abs=1e-10)
 
@@ -193,7 +193,7 @@ def test_sample_exponential_monte_carlo_mean():
 
 def test_sample_exponential_log_matches_linear():
     e = RngStream(50).exponential_sequence(50)
-    keys = contention_keys(np.log(e), 1.5, UNIT_DELTA, discrete=False)
+    keys = contention_keys(np.log(e), 1.5, IDEAL, discrete=False)
     np.testing.assert_allclose(keys, np.log(e * math.exp(-1.5)), atol=1e-12)
 
 
@@ -335,12 +335,6 @@ def test_weight_vector_rules_reject_non_finite_weights(bad):
                                                                          3.0]
 
 
-def test_theorem_exact_mode_requires_integer_weights():
-    NetworkConfig(2, (1.0, 4.0), 10, 0, theorem_exact=True)
-    with pytest.raises(ParameterError):
-        NetworkConfig(2, (1.0, math.sqrt(2)), 10, 0, theorem_exact=True)
-
-
 def test_backoff_params_validation():
     with pytest.raises(ParameterError):
         BackoffParams(alpha=1.0)
@@ -350,8 +344,11 @@ def test_backoff_params_validation():
         BackoffParams(alpha=2.0, b_offset=-1)
     with pytest.raises(ParameterError):
         BackoffParams(alpha=2.0, minislots_per_update=0)
-    with pytest.raises(ParameterError):
-        BackoffParams(alpha=2.0, delta_scale=0.0)
+    # B and M count minislots; at B = 2.5 resolve and resolve_rows would
+    # give one row minislots 5.5 and 5
+    for name in ("b_offset", "minislots_per_update"):
+        with pytest.raises(ParameterError, match=f"{name} must be a whole"):
+            BackoffParams(alpha=1.1, beta=1.1, **{name: 2.5})
 
 
 def test_backoff_params_reject_values_outside_the_domain():
@@ -367,19 +364,17 @@ def test_backoff_params_logs_leave_repr_eq_and_hash_alone():
     # tests/regression_pins.json stores the repr; the logs taken at
     # construction are attributes, not fields
     params = BackoffParams(alpha=1.5, beta=1.2, b_offset=7,
-                           minislots_per_update=100, delta_scale=0.5)
+                           minislots_per_update=100)
     assert repr(params) == ("BackoffParams(alpha=1.5, beta=1.2, b_offset=7, "
-                            "minislots_per_update=100, delta_scale=0.5)")
+                            "minislots_per_update=100)")
     assert [f.name for f in dataclasses.fields(params)] == [
-        "alpha", "beta", "b_offset", "minislots_per_update", "delta_scale"]
-    assert params == BackoffParams(1.5, 1.2, 7, 100, 0.5)
-    assert hash(params) == hash((1.5, 1.2, 7, 100, 0.5))
-    assert params != BackoffParams(1.5, 1.2, 7, 100, 0.25)
-    assert (params.ln_alpha, params.ln_beta, params.ln_delta_scale) == (
-        math.log(1.5), math.log(1.2), math.log(0.5))
-    moved = dataclasses.replace(params, alpha=3.0, beta=2.0, delta_scale=1.0)
-    assert (moved.ln_alpha, moved.ln_beta, moved.ln_delta_scale) == (
-        math.log(3.0), math.log(2.0), 0.0)
+        "alpha", "beta", "b_offset", "minislots_per_update"]
+    assert params == BackoffParams(1.5, 1.2, 7, 100)
+    assert hash(params) == hash((1.5, 1.2, 7, 100))
+    assert params != BackoffParams(1.5, 1.2, 7, 50)
+    assert (params.ln_alpha, params.ln_beta) == (math.log(1.5), math.log(1.2))
+    moved = dataclasses.replace(params, alpha=3.0, beta=2.0)
+    assert (moved.ln_alpha, moved.ln_beta) == (math.log(3.0), math.log(2.0))
 
 
 def test_age_state_initial():

@@ -180,16 +180,12 @@ def _log_z_row(draw):
        beta=st.one_of(st.floats(1.001, 5.0),
                       st.sampled_from([1.0 + 2**-40, 20.0, 1e6])),
        b_offset=st.sampled_from([0, 1, 3, 250, 2**52]),
-       delta_scale=st.one_of(st.floats(1e-6, 1.0),
-                             st.sampled_from([1e-300, 0.01, 1.0])),
        discrete=st.booleans())
-def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset,
-                                           delta_scale, discrete):
+def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset, discrete):
     # the kernel resolves ln-timers from the masked minimum and runner-up
     # alone, mapping only those two to keys; that is the mask of sources
     # tied at the minimum key having two or more members
-    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset,
-                           delta_scale=delta_scale)
+    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b_offset)
     log_z = np.array(units)
     key = contention_keys(log_z, 0.0, params, discrete)
     expected, tied, expected_slot = resolve(key, params if discrete else None)
@@ -201,18 +197,14 @@ def test_runner_up_resolve_equals_tie_mask(units, beta, b_offset,
 
 
 def test_resolve_sees_ln_timers_the_key_map_merges():
-    # adjacent ln-timers apart in ln Z but equal as keys collide
-    params = BackoffParams(alpha=2.0, delta_scale=0.01)
+    # the idealized key is ln Z itself, so it merges nothing: adjacent
+    # ln-timers stay apart and the smaller delivers
+    params = BackoffParams(alpha=2.0)
     log_z = np.array([1e-3, _ulps(1e-3, 1)])
-    assert log_z[0] < log_z[1]
-    assert key_of(log_z[0], params, False) == key_of(log_z[1], params, False)
-    assert policies.resolve(log_z, params, False) == (-1, None)
-    # delta keeps the order of the timers, but the ln(delta) shift merges
-    # two that delta = 1 keeps apart
-    log_z = np.array([1.0, math.nextafter(1.0, 2.0), 5.0])
-    assert policies.resolve(log_z, BackoffParams(alpha=2.0, delta_scale=1.0),
-                            False) == (0, None)
-    assert policies.resolve(log_z, params, False) == (-1, None)
+    assert key_of(log_z, params, False) is log_z
+    assert policies.resolve(log_z, params, False) == (0, None)
+    # on the grid the same two share a key's minislot and collide
+    assert policies.resolve(log_z, params, True) == (-1, 250)
     # a lone source delivers at any timer, -inf included
     for z in (-math.inf, 0.0):
         assert policies.resolve(np.array([z]), GRID, True) == (0, 0)
@@ -287,11 +279,10 @@ def test_resolve_rows_equals_resolve_on_every_row(keys, b_offset):
     # the one-pass form gives resolve's winner (-1 after a collision in
     # both) and minislot on every row, the minislots as exact Python
     # integers up to the domain's edge, so the durations and the overhead
-    # formed from them are resolve's too.  ln(beta) = 1 and ln(delta) = 0
-    # make every key its own ln-timer.
+    # formed from them are resolve's too.  ln(beta) = 1 makes every key
+    # its own ln-timer.
     discrete = b_offset is not None
-    params = BackoffParams(alpha=2.0, beta=math.e, b_offset=b_offset or 0,
-                           delta_scale=1.0)
+    params = BackoffParams(alpha=2.0, beta=math.e, b_offset=b_offset or 0)
     assert np.array_equal(key_of(keys, params, discrete), keys)
     won, slots = policies.resolve_rows(keys, params, discrete)
     expected = [policies.resolve(row, params, discrete) for row in keys]
@@ -592,8 +583,7 @@ def _runs(draw):
         params = BackoffParams(
             alpha=draw(st.sampled_from([2.1, 1.5, 1.05, 9.0])),
             beta=draw(st.sampled_from([1.1, 1.3, 1.01])),
-            b_offset=draw(st.sampled_from([5, 250, 0])),
-            delta_scale=draw(st.sampled_from([0.01, 1.0])))
+            b_offset=draw(st.sampled_from([5, 250, 0])))
     q_choices = [st.lists(st.sampled_from([0.05, 0.5, 1.0, 0.0]),
                           min_size=n, max_size=n),
                  st.just(0.0), st.just(1.0)]
@@ -623,19 +613,13 @@ def _outcome(run_fn, config, kind, params, kwargs, traced):
 
 @settings(max_examples=100, deadline=None)
 @given(case=_runs())
-# min_timer is delta * exp(ln Z): frame 20 prints a subnormal timer, whose
-# digits differ from exp(ln delta + ln Z)
+# min_timer is exp(ln Z): frame 20 prints a subnormal timer
 @example(case=(NetworkConfig(
     35, (1.0,) * 8 + (5.0, 5.0, 6.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0, 7.0, 8.0,
                       8.0, 4.527588621607691) + (1.0,) * 9 + (5.0,) * 5,
     63, 35), PolicyKind.IDEALIZED_FRESH_CSMA,
     BackoffParams(alpha=1.5, beta=1.1, b_offset=5),
     dict(prefix=(), markov_q=0.0, horizon_unit="frames")))
-# the same for plain CSMA, whose exponent is 1: frame 1 prints a subnormal
-# timer, whose digits differ from delta * E / alpha
-@example(case=(NetworkConfig(5, (1.0,) * 5, 300, 1), PolicyKind.IDEALIZED_CSMA,
-               BackoffParams(alpha=1.5, delta_scale=1e-320),
-               dict(prefix=(), markov_q=None, horizon_unit="frames")))
 def test_run_equals_reference_frame_loop(case):
     # field-equal results and byte-equal traces, traced or not
     expected, expected_trace = _outcome(reference.run, *case, traced=True)
@@ -643,6 +627,32 @@ def test_run_equals_reference_frame_loop(case):
     assert result == expected
     assert trace == expected_trace
     assert _outcome(run, *case, traced=False)[0] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_runs())
+def test_run_results_keep_their_invariants(case):
+    # what every result states about itself, whatever the kind: frames
+    # split into deliveries and whole collisions, frame ages are at least
+    # 1, idealized and centralized frames last one unit and never collide,
+    # near-realistic frames last 1 + D/M, and a rerun is the same result
+    _, kind, params, _ = case
+    result, _ = _outcome(run, *case, traced=False)
+    if result == "frame cap":
+        return
+    frames = result.frame_count
+    collisions = result.collision_rate * frames
+    assert collisions == pytest.approx(round(collisions), abs=1e-6)
+    assert frames == result.delivery_count + round(collisions)
+    assert min(result.per_source_avg_frame_aoi) >= 1
+    if policies.RULES[kind].discrete:
+        overhead = result.avg_overhead_minislots * frames
+        assert result.elapsed_time == pytest.approx(
+            frames + overhead / params.minislots_per_update, rel=1e-9)
+    else:
+        assert result.collision_rate == 0.0
+        assert result.elapsed_time == frames
+    assert _outcome(run, *case, traced=False)[0] == result
 
 
 # Deterministic cases of the one-pass collision runs.  At seed 44 these

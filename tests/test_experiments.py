@@ -243,8 +243,11 @@ def test_parse_config_explicit_weights():
 
 
 def test_parse_config_unknown_key_is_an_error():
-    with pytest.raises(ParameterError):
-        parse_config("policies = max_weight\nn_sources = 2\nturbo = on")
+    # delta_scale is not a key: the idealized timers have no scale
+    for line in ("turbo = on", "delta_scale = 0.01"):
+        key = line.split()[0]
+        with pytest.raises(ParameterError, match=f"unknown key '{key}'"):
+            parse_config(f"policies = max_weight\nn_sources = 2\n{line}")
 
 
 def test_parse_config_duplicate_key():

@@ -146,7 +146,7 @@ def test_idealized_csma_single_source_always_wins():
 
 def test_idealized_csma_symmetric_winners_and_mean():
     n, frames = 4, 100_000
-    params = BackoffParams(alpha=2.0, delta_scale=1.0)
+    params = BackoffParams(alpha=2.0)
     keys = contention_keys(_log_e(n, frames, 41), math.log(2.0), params,
                            discrete=False)
     freq = np.bincount(keys.argmin(axis=1), minlength=n) / frames
@@ -253,7 +253,7 @@ def test_fresh_csma_huge_exponents_underflow_linear_but_not_log():
     log_e = _log_e(2, 1, 9)[0]
     log_rate = _log_rates([1, 40], np.ones(2), 2.0)
     keys = contention_keys(log_e, log_rate, params, discrete=False)
-    assert params.delta_scale * math.exp(log_e[1] - log_rate[1]) == 0.0
+    assert math.exp(log_e[1] - log_rate[1]) == 0.0
     assert np.all(np.isfinite(keys))
     assert keys[1] < keys[0]
 
@@ -264,18 +264,6 @@ def test_fresh_csma_timers_deterministic():
     a = contention_keys(_log_e(2, 5, 10), log_rate, params, discrete=False)
     b = contention_keys(_log_e(2, 5, 10), log_rate, params, discrete=False)
     np.testing.assert_array_equal(a, b)
-
-
-def test_idealized_delta_scale_never_changes_winner():
-    log_e = _log_e(3, 100, 11)
-    log_rate = _log_rates([2, 3, 4], np.ones(3), 1.3)
-    small = contention_keys(log_e, log_rate,
-                            BackoffParams(alpha=1.3, delta_scale=0.001),
-                            discrete=False)
-    unit = contention_keys(log_e, log_rate,
-                           BackoffParams(alpha=1.3, delta_scale=1.0),
-                           discrete=False)
-    np.testing.assert_array_equal(small.argmin(axis=1), unit.argmin(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ _GRID = [
     (K.IDEALIZED_CSMA, (1.0,) * 4, 7, 1500, "frames",
      dict(alpha=2.0), None, None),
     (K.IDEALIZED_CSMA, (1.0,) * 4, 7, 1500, "frames",
-     dict(alpha=2.0, delta_scale=0.5), None, 2),
+     dict(alpha=2.0), None, 2),
     (K.IDEALIZED_FRESH_CSMA, (1.0,) * 6, 8, 1500, "deliveries",
      dict(alpha=1.2), None, None),
     (K.IDEALIZED_FRESH_CSMA, (1.0, 2.0, 0.5), 9, 1500, "frames",
