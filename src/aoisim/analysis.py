@@ -152,8 +152,14 @@ def overhead_upper_bound(ages: np.ndarray, weights: np.ndarray,
     gamma argument, so the only exponentiation is well-scaled.  Passing
     time-averaged (real-valued) ages gives the horizon-average form.
     With minislots=True the bound is returned in minislots instead of
-    time units.
+    time units.  ages and weights need the same shape and at least one
+    age.
     """
+    shapes = np.shape(ages), np.shape(weights)
+    if shapes[0] != shapes[1] or 0 in shapes[0]:
+        raise ParameterError(
+            "the overhead bound needs one weight per age and at least one "
+            f"age, got ages {shapes[0]} and weights {shapes[1]}")
     log_total = log_sum_exp(aoi_exponents(ages, weights) * params.ln_alpha)
     return overhead_upper_bound_from_log_rate(log_total, params,
                                               minislots=minislots)

@@ -9,6 +9,11 @@ draw per frame.  It shares only the stream layout, the rule table and
 the per-source formulas with the kernel; its argmax rule and its
 contention resolution are its own, written through the mask of tied
 sources.
+
+It also holds the sampled verify checks' per-state statistics, drawn
+state after state: each state's parameters in the check's order, then
+its rows one after another through RngStream.unit_exponentials, reduced
+with plain numpy.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from aoisim.engine import SimulationResult, substreams
 from aoisim.policies import (
     RULES,
     PolicyKind,
+    aoi_exponents,
     exponents,
     key_of,
+    minislots,
     stationary_randomized_probs,
 )
 
@@ -267,3 +274,53 @@ def run(config: NetworkConfig, kind: PolicyKind,
         config=config,
         params=params,
     )
+
+
+# ---------------------------------------------------------------------------
+# Sampled verify checks, one state after another
+# ---------------------------------------------------------------------------
+
+def log_timers(stream: RngStream, log_rate, samples: int) -> np.ndarray:
+    """ln E_i - log_rate_i, one row of samples per source, the rows drawn
+    one after another through unit_exponentials."""
+    return np.array([np.log(stream.unit_exponentials(samples)) - lr
+                     for lr in log_rate]).reshape(len(log_rate), samples)
+
+
+def winner_counts(stream: RngStream, samples: int, trials: int = 20):
+    """lemma1's statistic per state: each source's count of the columns
+    whose first minimum it holds."""
+    grid = [(n, alpha) for n in (2, 5, 10) for alpha in (1.1, 2.0, 9.0)]
+    for s in range(trials):
+        n, alpha = grid[s % len(grid)]
+        ages = np.array([1 + stream.integer(8) for _ in range(n)])
+        log_z = log_timers(stream, aoi_exponents(ages, np.ones(n))
+                           * math.log(alpha), samples)
+        yield np.bincount(np.argmin(log_z, axis=0), minlength=n)
+
+
+def distinct_minislot_counts(stream: RngStream, samples: int):
+    """thm3's statistic per (rate, rate, beta, B) cell: the columns whose
+    two timers land in different minislots."""
+    for lri in (0.0, 10.0, 20.0):
+        for lrj in (0.0, 10.0, 20.0):
+            for beta in (1.1, 1.5, 2.0):
+                for b in (0, 10, 250):
+                    params = BackoffParams(alpha=2.0, beta=beta, b_offset=b)
+                    d = minislots(key_of(log_timers(stream, (lri, lrj), samples),
+                                         params, discrete=True), b)
+                    yield int(np.count_nonzero(d[0] != d[1]))
+
+
+def minimum_slot_sums(stream: RngStream, samples: int, trials: int = 10,
+                      n: int = 10):
+    """thm4's statistic per state: the sum over columns of the smallest
+    of the sources' minislots."""
+    for _ in range(trials):
+        ages = np.array([1 + stream.integer(10) for _ in range(n)])
+        params = BackoffParams(alpha=1.2, beta=1.0 + 0.1 + 0.4 * stream.uniform(),
+                               b_offset=200 + stream.integer(100))
+        log_z = log_timers(stream, aoi_exponents(ages, np.ones(n))
+                           * params.ln_alpha, samples)
+        slots = minislots(key_of(log_z, params, discrete=True), params.b_offset)
+        yield float(slots.min(axis=0).sum())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,9 +25,8 @@ from aoisim.analysis import (
     log_sum_exp,
     overhead_upper_bound_from_log_rate,
 )
-from aoisim.checks import _log_timers
 from aoisim.policies import aoi_exponents, minislots
-from reference import contention_keys
+from reference import contention_keys, log_timers
 
 
 def gamma0_quadrature(x: float) -> float:
@@ -79,6 +79,14 @@ def test_gamma_zero_domain_error():
         upper_incomplete_gamma_zero(0.0)
     with pytest.raises(ParameterError):
         upper_incomplete_gamma_zero(-1.0)
+    # the overhead bound takes Gamma(0, x) of the ages' total rate, which
+    # needs at least one age and one weight per age
+    params = BackoffParams(alpha=1.2, beta=1.3, b_offset=250)
+    for ages, weights, shapes in [
+            (np.array([]), np.array([]), "ages (0,) and weights (0,)"),
+            (np.array([1, 2, 3]), np.ones(2), "ages (3,) and weights (2,)")]:
+        with pytest.raises(ParameterError, match=re.escape(shapes)):
+            overhead_upper_bound(ages, weights, params)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,7 @@ def test_separation_term_extreme_rates_stay_in_unit_interval():
 def _distinct_share(lri, lrj, params, samples, seed):
     """Monte Carlo share of timer pairs in different minislots, and its
     Laplace-smoothed standard error."""
-    log_z = _log_timers(RngStream(seed), (lri, lrj), np.empty((2, samples)))
+    log_z = log_timers(RngStream(seed), (lri, lrj), samples)
     key = contention_keys(log_z, 0.0, params, discrete=True)
     d = minislots(key, params.b_offset)
     distinct = int(np.count_nonzero(d[0] != d[1]))
@@ -201,9 +209,8 @@ def test_overhead_bound_sampled_mean_stays_below():
     weights = np.ones(5)
     params = BackoffParams(alpha=1.3, beta=1.25, b_offset=120)
     bound = overhead_upper_bound(ages, weights, params, minislots=True)
-    log_z = _log_timers(RngStream(63),
-                        aoi_exponents(ages, weights) * params.ln_alpha,
-                        np.empty((5, 100_000)))
+    log_z = log_timers(RngStream(63),
+                       aoi_exponents(ages, weights) * params.ln_alpha, 100_000)
     d = minislots(contention_keys(log_z, 0.0, params, discrete=True),
                   params.b_offset).min(axis=0)
     assert float(d.mean()) <= bound

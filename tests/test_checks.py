@@ -1,11 +1,14 @@
 """Fast passes over the randomized verifiers; the acceptance suite runs
 them at their full trial counts."""
 
+import functools
+import inspect
 import math
 import os
-import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import aoisim
@@ -25,6 +28,7 @@ from aoisim.checks import (
     check_winner_distribution,
 )
 from aoisim.policies import minislots
+import reference
 from reference import contention_keys
 
 
@@ -105,53 +109,90 @@ def test_block_checks_cover_every_state(monkeypatch):
     elements=st.integers(-2, 2).map(float))))
 def test_win_counts_give_each_column_to_its_first_minimum(x):
     # small integers tie often, and a tied column goes to its first
-    # minimum as argmin's does
-    n = len(x)
+    # minimum as argmin's does; the running first minimum folds the rows
+    # in turn
+    n, samples = x.shape
+    def wins(rows):
+        return checks._first_minimum_wins(iter(rows),
+                                          checks._Scratch(samples, n)).tolist()
     expected = np.bincount(np.argmin(x, axis=0), minlength=n)
-    assert checks._win_counts(x).tolist() == expected.tolist()
-    equal = np.full((n, x.shape[1]), 3.0)
-    assert checks._win_counts(equal).tolist() == [x.shape[1]] + [0] * (n - 1)
+    assert wins(x) == expected.tolist()
+    assert wins(np.full((n, samples), 3.0)) == [samples] + [0] * (n - 1)
 
 
 # ---------------------------------------------------------------------------
-# Timer blocks split across threads
+# Sampled states drawn and reduced across threads
 # ---------------------------------------------------------------------------
 
-def _sequential_log_timers(stream, log_rate, samples):
-    """The reference: each source's row drawn after the previous one."""
-    return np.array([np.log(stream.unit_exponentials(samples)) - lr
-                     for lr in log_rate]).reshape(len(log_rate), samples)
+# check id -> (check, reference statistics from a stream and a sample count)
+_SAMPLED = {"lemma1": (check_winner_distribution, reference.winner_counts),
+            "thm3": (check_distinct_timer_bound,
+                     reference.distinct_minislot_counts),
+            "thm4": (check_idle_time_bound, reference.minimum_slot_sums)}
 
 
-def _assert_streams_agree(a, b):
-    # the next bulk and scalar draws of both streams are the same bits
-    assert a.uniforms(7).tobytes() == b.uniforms(7).tobytes()
-    assert [a.uniform() for _ in range(3)] == [b.uniform() for _ in range(3)]
+def _statistics(monkeypatch, cid, new_stream=None, **kwargs):
+    """The per-state statistics the check's executor gives at kwargs;
+    new_stream, if given, replaces the stream at the check's seed."""
+    got = []
+    sample = checks._sample
+
+    def recording(*args):
+        for state, statistic in sample(*args):
+            got.append(statistic)
+            yield state, statistic
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_sample", recording)
+        if new_stream is not None:
+            patch.setattr(checks, "_state_stream", new_stream)
+        _SAMPLED[cid][0](**kwargs)
+    return got
 
 
-@pytest.mark.parametrize("samples", [1, 3, 20_000, 100_001])
+@functools.lru_cache(maxsize=None)
+def _reference_statistics(cid, samples):
+    stream = checks._state_stream(checks.DEFAULT_SEED)
+    if samples is None:
+        samples = inspect.signature(_SAMPLED[cid][0]).parameters[
+            "samples"].default
+    return list(_SAMPLED[cid][1](stream, samples))
+
+
+def _assert_statistics_equal(got, expected):
+    # win counts, distinct counts and minislot sums, bit for bit
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 3, 2000, 20_000, 100_001, None])
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_log_timers_do_not_depend_on_the_worker_count(monkeypatch, workers,
                                                       samples):
+    # each state's ln-timers, and so its statistic, are those of drawing
+    # its rows one after another, whatever the worker count (None: the
+    # checks' default samples)
     monkeypatch.setattr(checks, "_worker_count", lambda: workers)
     switch = sys.getswitchinterval()
     # more threads than cores, switching often, must not move a bit
     sys.setswitchinterval(1e-6)
     try:
-        for n in (1, 2, 5, 10):
-            got, ref = RngStream(41, (n,)), RngStream(41, (n,))
-            # a scalar draw first: offsets count from the generator
-            assert got.uniform() == ref.uniform()
-            block = np.full((n + 1, samples), 7.0)
-            log_rate = np.linspace(-3.0, 20.0, n)
-            log_z = checks._log_timers(got, log_rate, block)
-            assert np.shares_memory(log_z, block)
-            expected = _sequential_log_timers(ref, log_rate, samples)
-            assert log_z.tobytes() == expected.tobytes()
-            assert np.all(block[n] == 7.0)
-            _assert_streams_agree(got, ref)
+        for cid in _SAMPLED:
+            kwargs = {} if samples is None else {"samples": samples}
+            _assert_statistics_equal(_statistics(monkeypatch, cid, **kwargs),
+                                     _reference_statistics(cid, samples))
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_sampled_checks_plan_their_states_in_blocks(monkeypatch):
+    # at most _BLOCK states are planned at a time; the scalar cache must
+    # refill across blocks where the rows drawn in turn leave it
+    monkeypatch.setattr(checks, "_worker_count", lambda: 2)
+    monkeypatch.setattr(checks, "_BLOCK", 7)
+    for cid in _SAMPLED:
+        _assert_statistics_equal(_statistics(monkeypatch, cid, samples=50),
+                                 _reference_statistics(cid, 50))
 
 
 def _stream_with_zero_at(j):
@@ -167,36 +208,83 @@ def _stream_with_zero_at(j):
     return stream
 
 
-@pytest.mark.parametrize("row,col", [(2, 5), (0, 15), (3, 29)],
+def _assert_streams_agree(a, b):
+    # the next bulk and scalar draws of both streams are the same bits
+    assert a.uniforms(7).tobytes() == b.uniforms(7).tobytes()
+    assert [a.uniform() for _ in range(3)] == [b.uniform() for _ in range(3)]
+
+
+# check id -> (states, rows per state, first bulk draw): lemma1 at 3
+# states has 2 sources each, thm4 at 3 states 3 sources, thm3 always 2;
+# the first scalar draw of lemma1 and thm4 takes 4096 uniforms into the
+# cache before any row is drawn
+_ZERO_CASES = {"lemma1": (3, 2, 4096), "thm3": (81, 2, 0), "thm4": (3, 3, 4096)}
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last"],
                          ids=["first-range", "middle-range", "last-range"])
 def test_log_timers_redraw_a_zero_uniform_as_the_sequential_rows_do(
-        monkeypatch, row, col):
+        monkeypatch, place):
+    # the zero lies in the first, a middle or the last state, and so in
+    # the first, a middle or the last range of states planned together
     monkeypatch.setattr(checks, "_worker_count", lambda: 3)
-    n, samples = 4, 30  # column ranges [0, 10), [10, 20), [20, 30)
-    j = row * samples + col
-    assert _stream_with_zero_at(j).uniforms(n * samples)[j] == 0.0
-    log_rate = np.array([0.0, 1.5, -2.0, 9.0])
-    got, ref = _stream_with_zero_at(j), _stream_with_zero_at(j)
-    log_z = checks._log_timers(got, log_rate, np.empty((n, samples)))
-    expected = _sequential_log_timers(ref, log_rate, samples)
-    assert np.isfinite(log_z).all()
-    assert log_z.tobytes() == expected.tobytes()
-    _assert_streams_agree(got, ref)
+    # two states per range, so a zero in a later range reruns the check
+    # past the states it already gave
+    monkeypatch.setattr(checks, "_BLOCK", 2)
+    samples = 30
+    for cid, (states, rows, first) in _ZERO_CASES.items():
+        state = {"first": 0, "middle": states // 2, "last": states - 1}[place]
+        j = first + (state * rows + rows - 1) * samples + 7
+        assert _stream_with_zero_at(j).uniforms(j + 1)[j] == 0.0
+        made = []
+
+        def new_stream(seed, least_n=2, **counts):
+            made.append(_stream_with_zero_at(j))
+            return made[-1]
+        kwargs = {} if cid == "thm3" else {"trials": states}
+        if cid == "thm4":
+            kwargs["n"] = rows
+        got = _statistics(monkeypatch, cid, new_stream, samples=samples,
+                          **kwargs)
+        ref = _stream_with_zero_at(j)
+        expected = list(_SAMPLED[cid][1](ref, samples, **kwargs))
+        # the zero sent the check back to its seed: a second stream
+        assert len(made) == 2, cid
+        _assert_statistics_equal(got, expected)
+        _assert_streams_agree(made[-1], ref)
 
 
-@pytest.mark.parametrize("block,problem", [
-    (np.empty((4, 20))[:, ::2], "non-contiguous float64 block of shape (4, 10)"),
-    (np.empty((10, 4)).T, "non-contiguous float64 block of shape (4, 10)"),
-    (np.empty((4, 10), dtype=np.float32), "float32 block of shape (4, 10)"),
-    (np.empty((2, 10)), "float64 block of shape (2, 10)"),
-    (np.empty(10), "float64 block of shape (10,)"),
-])
-def test_log_timers_reject_a_block_that_cannot_hold_the_timers(block, problem):
-    # zip would drop the rates past the block's last row
-    with pytest.raises(ParameterError, match=re.escape(
-            "timers of (3,) rates need a C-contiguous float64 block with at "
-            f"least 3 rows, got a {problem}")):
-        checks._log_timers(RngStream(1), [0.0, 1.0, 2.0], block)
+@pytest.mark.parametrize("failing", ["calling", "pool"])
+def test_a_failing_reduction_surfaces_after_every_worker_has_stopped(
+        monkeypatch, failing):
+    # the first reduction on the calling thread, or on a pool thread,
+    # raises while the others still run
+    monkeypatch.setattr(checks, "_worker_count", lambda: 4)
+    lock = threading.Lock()
+    started, finished = [], []
+
+    def reduce(rows, scratch):
+        for _ in rows:
+            pass
+        calling = threading.current_thread() is threading.main_thread()
+        with lock:
+            fail = calling == (failing == "calling") and True not in started
+            started.append(fail)
+        time.sleep(0.1 if fail else 0.4)
+        if fail:
+            raise ValueError("reduction failed")
+        with lock:
+            finished.append(fail)
+    stream = RngStream(5)
+    block = [(checks._State([0.0], reduce, None), stream.jump_ahead(10))
+             for _ in range(12)]
+    with pytest.raises(ValueError, match="reduction failed"):
+        checks._run(block, 10)
+    # every reduction that started and did not fail had finished, and the
+    # failure stopped the workers taking more states
+    assert started.count(True) == 1
+    assert len(finished) == started.count(False) > 0
+    assert len(started) < len(block)
 
 
 def _run_python(code):
@@ -208,15 +296,18 @@ def _run_python(code):
 
 
 def test_import_starts_no_thread_and_a_split_check_exits():
-    # the pool starts on first use, never at import, and its idle
-    # threads do not hold up the interpreter's exit
+    # the pool starts on first use, never at import, with a thread for
+    # every core but the calling one's even when its first block has
+    # fewer states, and its idle threads do not hold up the
+    # interpreter's exit
     _run_python("import sys, threading\n"
                 "import aoisim\n"
                 "assert threading.active_count() == 1, threading.enumerate()\n"
                 "assert 'concurrent.futures' not in sys.modules\n"
                 "from aoisim import checks\n"
-                "checks._worker_count = lambda: 2\n"
-                "assert checks.CHECKS['thm4'](samples=20_000).ok\n")
+                "checks._worker_count = lambda: 4\n"
+                "assert checks.CHECKS['thm4'](trials=2, samples=20_000).ok\n"
+                "assert checks._pool[1]._max_workers == 3\n")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

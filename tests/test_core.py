@@ -142,15 +142,23 @@ def test_unit_exponentials_redraw_zero_uniforms():
 
 
 def test_jump_ahead_places_generators_in_the_bulk_sequence():
-    ref = RngStream(17, (3,)).uniforms(60)
-    stream = RngStream(17, (3,))
-    offsets = (0, 7, 41)
-    for gen, k in zip(stream.jump_ahead(offsets, 50), offsets):
+    stream, twin = RngStream(17, (3,)), RngStream(17, (3,))
+    # a scalar draw first: reserved draws count from the generator, past
+    # the uniforms the scalar cache took
+    assert stream.uniform() == twin.uniform()
+    ref = twin.uniforms(60)
+    starts = [stream.jump_ahead(count) for count in (7, 0, 43)]
+    gen = np.random.Generator(np.random.PCG64(0))
+    for start, k in zip(starts, (0, 7, 7)):
+        gen.bit_generator.state = start
         assert gen.random(5).tobytes() == ref[k:k + 5].tobytes()
     assert stream.uniforms(10).tobytes() == ref[50:].tobytes()
-    # a negative total moves the stream back
-    stream.jump_ahead((), -60)
-    assert stream.uniforms(60).tobytes() == ref.tobytes()
+    # once the cache runs out it refills past the reserved draws
+    for _ in range(4095):
+        assert stream.uniform() == twin.uniform()
+    stream.jump_ahead(5)
+    twin.uniforms(5)
+    assert stream.uniform() == twin.uniform()
 
 
 @pytest.mark.parametrize("method,args,count", [
@@ -159,6 +167,7 @@ def test_jump_ahead_places_generators_in_the_bulk_sequence():
     ("unit_exponentials", (-1,), "-1"),
     ("exponential_sequence", (-4,), "-4"),
     ("integers", (5, (2, -1)), "(2, -1)"),
+    ("jump_ahead", (-60,), "-60"),
 ])
 def test_draws_reject_negative_counts(method, args, count):
     # a ParameterError naming the count, not numpy's bare ValueError
