@@ -164,6 +164,19 @@ def weight_vectors(weights: Sequence[float]) -> np.ndarray:
     return w
 
 
+def whole_number(name: str, value, least: int | None = None) -> int:
+    """value as an int.  ParameterError names name when value is not a
+    whole number (a fractional or non-finite float, a string, None) or
+    is below least."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _checked_weights(n_sources: int, weights: Sequence[float]
                      ) -> tuple[float, ...]:
     """n_sources >= 1 weights as floats, each positive and finite."""
@@ -191,10 +204,13 @@ class NetworkConfig:
     seed: int
 
     def __post_init__(self):
+        # whole floats are stored as ints
+        for name, least in (("n_sources", None), ("horizon_frames", 1),
+                            ("seed", None)):
+            object.__setattr__(self, name,
+                               whole_number(name, getattr(self, name), least))
         object.__setattr__(self, "weights",
                            _checked_weights(self.n_sources, self.weights))
-        if self.horizon_frames < 1:
-            raise ParameterError(f"horizon_frames must be >= 1, got {self.horizon_frames}")
         if not 0 <= self.seed <= _SEED_MASK:
             raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -232,15 +248,11 @@ class BackoffParams:
             raise ParameterError(f"beta must be finite and >= 1 + 2**-40, got {self.beta}")
         # B and M count minislots: resolve forms B + floor(key) in floats
         # and resolve_rows in int64, which agree only on whole numbers.
-        for name in ("b_offset", "minislots_per_update"):
-            if not float(getattr(self, name)).is_integer():
-                raise ParameterError(
-                    f"{name} must be a whole number, got {getattr(self, name)}")
+        for name, least in (("b_offset", None), ("minislots_per_update", 1)):
+            object.__setattr__(self, name,
+                               whole_number(name, getattr(self, name), least))
         if not 0 <= self.b_offset <= 2**52:
             raise ParameterError(f"b_offset must be in [0, 2**52], got {self.b_offset}")
-        if self.minislots_per_update < 1:
-            raise ParameterError(
-                f"minislots_per_update must be >= 1, got {self.minislots_per_update}")
         object.__setattr__(self, "ln_alpha", math.log(self.alpha))
         object.__setattr__(self, "ln_beta", math.log(self.beta))
 

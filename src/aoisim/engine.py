@@ -10,17 +10,27 @@ minislot D is the idle head charged as backoff overhead; idealized
 frames last one unit.  Markov two-state sources can be layered on
 either model to drive mismatch-age (AoII) scheduling.
 
-run() steps through the frames in blocks of _FRAMES.  Between deliveries
-every frame age grows by one and every mismatch age follows its source's
-true states against an estimate that does not move, so at a block's
-start the exponents and ln-timers ln Z = ln E - ln rate of all its
-frames are formed at once, as if nobody delivered.  The block holds ln Z,
-not keys.  The idealized model compares ln Z itself; the minislot grid's
-key map (policies.key_of) is non-decreasing, so it is applied only where
-values are compared, inside policies.resolve and policies.resolve_rows,
-and to the trace rows.
+A run's state lives in one object, _RunState, built once from the
+config, the kind, the parameters, the stream prefix and the Markov
+flip probabilities.  It holds the streams and their draw blocks (ln E
+of _BLOCK frames, refilled in place; the Markov true states; the
+stationary randomized picks), each source's last delivery and frame-age
+sum, the clock ages and their integral, the Markov states and
+estimates, and the counters.  run() checks its arguments, builds the
+state, steps it until the horizon and forms the SimulationResult.
 
-Each block then takes two passes.  The walk only decides: it resolves
+Each step moves the state on by one block of at most _FRAMES frames.
+Between deliveries every frame age grows by one and every mismatch age
+follows its source's true states against an estimate that does not
+move, so at a block's start the exponents and ln-timers ln Z = ln E -
+ln rate of all its frames are formed at once, as if nobody delivered.
+The block holds ln Z, not keys.  The idealized model compares ln Z
+itself; the minislot grid's key map (policies.key_of) is
+non-decreasing, so it is applied only where values are compared,
+inside policies.resolve and policies.resolve_rows, and to the trace
+rows.
+
+A step then takes two passes.  The walk only decides: it resolves
 each frame from its row, which resolve masks and restores in place (so
 the row must be writable), and records the delivered source, -1 after a
 collision as resolve reports it, and on the minislot grid the winning
@@ -36,7 +46,8 @@ picks, drawn at once by searchsorted on the cumulative distribution.
 The walk stops at the block's end or at the last delivery a deliveries
 horizon needs.  The accounting pass then goes over the recorded
 deliveries in frame order: the delivery count, the frame-age sums, and
-the mismatch ages the AoII sum reads, from which the estimates follow.
+layer 2 of the mismatch ages, which it patches for every kind with
+Markov sources and from which the AoII sum and the estimates follow.
 It also forms the frame, overhead and elapsed-time totals, the clock
 ages and their integral (_clock_ages) and the trace lines.  Every float
 sum runs in frame order, through np.add.accumulate, so each value is
@@ -50,7 +61,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .core import BackoffParams, NetworkConfig, ParameterError, RngStream
+from .core import (BackoffParams, NetworkConfig, ParameterError, RngStream,
+                   whole_number)
 from .policies import (
     RULES,
     PolicyKind,
@@ -118,17 +130,6 @@ def substreams(seed: int, prefix: tuple[int, ...], kind: PolicyKind,
 # Draw blocks
 # ---------------------------------------------------------------------------
 
-def _transition_probs(q, n_sources: int) -> np.ndarray:
-    """One flip probability per source from one value or n_sources."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if q.shape not in ((1,), (n_sources,)):
-        raise ParameterError(f"need one transition probability or "
-                             f"{n_sources}, got shape {q.shape}")
-    if not np.all((q >= 0) & (q <= 1)):
-        raise ParameterError(f"transition probabilities must be in [0,1], got {q}")
-    return np.broadcast_to(q, (n_sources,)).copy()
-
-
 def _trajectory(q: np.ndarray, x_start: np.ndarray,
                 stream: RngStream) -> Iterator[np.ndarray]:
     """The true states of the frames after x_start, _BLOCK rows at a time.
@@ -138,7 +139,7 @@ def _trajectory(q: np.ndarray, x_start: np.ndarray,
     and XOR-accumulates the flips down the frames onto the state the
     block starts from.  The next refill overwrites the block.
     """
-    states = np.empty((_BLOCK, len(q)), dtype=bool)
+    states = np.empty((_BLOCK, len(x_start)), dtype=bool)
     start = np.array(x_start, dtype=bool)
     while True:
         flips = stream.uniforms(states.shape) < q
@@ -146,18 +147,6 @@ def _trajectory(q: np.ndarray, x_start: np.ndarray,
         states ^= start
         yield states
         start = states[-1].copy()
-
-
-def _timer_blocks(sources: list[RngStream]) -> Iterator[np.ndarray]:
-    """ln E, _BLOCK frames at a time: one exp(1) draw per source and
-    frame, with ln applied once per block in place.  The next refill
-    overwrites it."""
-    log_e = np.empty((_BLOCK, len(sources)))
-    while True:
-        for i, s in enumerate(sources):
-            log_e[:, i] = s.exponential_sequence(_BLOCK)
-        np.log(log_e, out=log_e)
-        yield log_e
 
 
 def _mismatch_ages(x: np.ndarray, x_before: np.ndarray, run: np.ndarray,
@@ -232,123 +221,100 @@ def _clock_ages(age: np.ndarray, integral: np.ndarray, durations: np.ndarray,
     return ages[k], terms[k]
 
 
+
+
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
 
-def run(config: NetworkConfig, kind: PolicyKind,
-        params: BackoffParams | None = None, *,
-        prefix: tuple[int, ...] = (),
-        markov_q: "float | np.ndarray | None" = None,
-        horizon_unit: str = "frames",
-        max_frames: int | None = None,
-        trace: IO[str] | None = None) -> SimulationResult:
-    """Simulate config.horizon_frames frames (or delivered updates) of
-    kind's rule and return time-averaged metrics.
+class _RunState:
+    """Everything one run carries from block to block: its streams and
+    draw blocks, each source's last delivery and frame-age sum, the clock
+    ages and their integral, the Markov states and estimates, and the
+    counters.  Built once per run; step() moves it one block on."""
 
-    Draws come from substreams(config.seed, prefix, ...); experiments
-    pass prefix (rep,) per replication.  horizon_unit="deliveries" runs
-    until config.horizon_frames updates have been delivered, so
-    collision-prone configurations are compared at equal useful work; a
-    frame cap (max_frames, at least 1, default 100x the target) turns a
-    non-delivering configuration into an error instead of a hang.  A
-    frames horizon takes no cap.  trace, if given, receives one line per
-    frame, whose min_timer is the winner's timer: its minislot on the
-    grid, Z in the idealized model.
-    """
-    if horizon_unit not in ("frames", "deliveries"):
-        raise ParameterError(f"unknown horizon_unit {horizon_unit!r}")
-    if horizon_unit == "frames" and max_frames is not None:
-        raise ParameterError("max_frames caps a deliveries horizon; "
-                             "a frames horizon is its own cap")
-    if max_frames is not None and max_frames < 1:
-        raise ParameterError(f"max_frames must be >= 1, got {max_frames}")
-    if kind not in RULES:
-        raise ParameterError(f"unknown policy kind {kind!r}")
-    decide, signal, discrete = RULES[kind]
-    contention = decide == "contention"
-    if contention and params is None:
-        raise ParameterError(f"{kind.value} needs backoff parameters")
-    if signal == "aoii" and markov_q is None:
-        raise ParameterError(f"{kind.value} needs Markov sources "
-                             "(markov_q) to compute mismatch ages")
+    def __init__(self, config, kind, params, prefix, markov_q) -> None:
+        decide, signal, discrete = self.rule = RULES[kind]
+        n = config.n_sources
+        self.w = config.weights_array
+        self.params = params
+        engine_stream, self.decision, self.sources = substreams(
+            config.seed, prefix, kind, n)
+        # The AoI exponent w_i * a**2 of frame age a, in row a: the delivered
+        # source's column for the rest of a block.
+        self.age_table = aoi_exponents(np.arange(_FRAMES)[:, None], self.w)
+        if decide == "contention":
+            self.log_e = np.empty((_BLOCK, n))
+            self.log_rate_table = self.age_table * params.ln_alpha
+        self.markov = markov_q is not None
+        if self.markov:
+            q = np.atleast_1d(np.asarray(markov_q, dtype=float))
+            if q.shape not in ((1,), (n,)):
+                raise ParameterError(f"need one transition probability or "
+                                     f"{n}, got shape {q.shape}")
+            if not np.all((q >= 0) & (q <= 1)):
+                raise ParameterError(
+                    f"transition probabilities must be in [0,1], got {q}")
+            self.states = _trajectory(q, np.zeros(n), engine_stream)
+            # Every source starts in state 0, matched by its estimate, so the
+            # length of that first run never shows.  step replaces both
+            # arrays and never writes into them, so they may start as one.
+            self.x_before = self.x_est = np.zeros(n, dtype=bool)
+            self.run_length = np.ones(n)
+            self.aoii_sum = np.zeros(n)
+        if decide == "randomized":
+            self.cdf = np.cumsum(stationary_randomized_probs(config.weights))
+        if discrete:
+            # Wall-clock ages sampled at frame starts, weighted by the frame's
+            # duration (see _clock_ages).
+            self.clock_age = np.ones(n)
+            self.clock_age_integral = np.zeros(n)
+        # Frame of each source's last delivery (-1 before the first: ages
+        # start at 1) and the frame ages summed over its closed intervals.
+        self.last = [-1] * n
+        self.frame_age_sum = [0] * n
+        self.frames = self.deliveries = self.overhead_minislots = 0
+        self.elapsed = 0.0
+        self.after_collision = False
 
-    n = config.n_sources
-    w = config.weights_array
-    engine_stream, decision, sources = substreams(config.seed, prefix, kind, n)
-    # The AoI exponent w_i * a**2 of frame age a, in row a: the delivered
-    # source's column for the rest of a block.
-    age_table = aoi_exponents(np.arange(_FRAMES)[:, None], w)
-    if contention:
-        timers = _timer_blocks(sources)
-        log_rate_table = age_table * params.ln_alpha
-        slots_per_update = params.minislots_per_update
-    if markov_q is not None:
-        states = _trajectory(_transition_probs(markov_q, n), np.zeros(n),
-                             engine_stream)
-        # Every source starts in state 0, matched by its estimate, so the
-        # length of that first run never shows.
-        x_before, x_est = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        run = np.ones(n)
-        aoii_sum = np.zeros(n)
-    # The AoII sum reads layer 2 of the mismatch ages.  Max-AoII decides
-    # from that layer, so its walk patches it; for every other kind with
-    # Markov sources the accounting pass does.  The walk's patch reaches
-    # layer 2 only because max-AoII's now is a view of mismatch[2], which
-    # holds because exponents returns the float mismatch array itself.
-    patch_aoii = (markov_q is not None
-                  and (signal, decide) != ("aoii", "argmax"))
-    if decide == "randomized":
-        cdf = np.cumsum(stationary_randomized_probs(config.weights))
-    if discrete:
-        # Wall-clock ages sampled at frame starts, weighted by the frame's
-        # duration (see _clock_ages).
-        clock_age = np.ones(n)
-        clock_age_integral = np.zeros(n)
-
-    target = config.horizon_frames
-    by_deliveries = horizon_unit == "deliveries"
-    cap = (target if not by_deliveries
-           else 100 * target if max_frames is None else max_frames)
-    # Frame of each source's last delivery (-1 before the first: ages
-    # start at 1) and the frame ages summed over its closed intervals.
-    last = [-1] * n
-    frame_age_sum = [0] * n
-
-    frames = deliveries = overhead_minislots = 0
-    elapsed = 0.0
-    after_collision = False
-    while (deliveries if by_deliveries else frames) < target:
-        if frames >= cap:
-            raise RuntimeError(
-                f"frame cap {cap} reached with only {deliveries} "
-                f"of {target} deliveries; the configuration is not delivering")
-        offset = frames % _BLOCK
+    def step(self, rows: int, left: int, trace: IO[str] | None) -> None:
+        """Form, walk and account for the next block: at most rows frames,
+        the walk stopping after left more deliveries."""
+        decide, signal, discrete = self.rule
+        contention = decide == "contention"
+        params, age_table, last = self.params, self.age_table, self.last
+        first = self.frames
+        offset = first % _BLOCK
         if offset == 0:
+            # Refill the draw blocks, each in place: ln E takes one exp(1)
+            # draw per source and frame, with ln applied once per block.
             if contention:
-                log_e_block = next(timers)
-            if markov_q is not None:
-                x_block = next(states)
+                for i, s in enumerate(self.sources):
+                    self.log_e[:, i] = s.exponential_sequence(_BLOCK)
+                np.log(self.log_e, out=self.log_e)
+            if self.markov:
+                self.x_block = next(self.states)
             if decide == "randomized":
-                picks = np.minimum(
-                    np.searchsorted(cdf, decision.uniforms(_BLOCK),
-                                    side="right"), n - 1).tolist()
-        block = slice(offset, offset + _FRAMES)
+                self.picks = np.minimum(
+                    np.searchsorted(self.cdf, self.decision.uniforms(_BLOCK),
+                                    side="right"), len(last) - 1).tolist()
 
         # The block as if nobody delivered: frame ages grow by one per
         # row, mismatch ages follow the trajectory.  AoII kinds decide
         # from layer 2, under the current estimates; layer v holds the
         # exponents or ln-timers under an estimate of v, which is exact
         # after a delivery in state v.
-        age = (np.arange(frames, frames + _FRAMES)[:, None]
+        age = (np.arange(first, first + _FRAMES)[:, None]
                - np.array(last)) if signal == "frame_age" else None
-        if markov_q is not None:
-            x = x_block[block]
-            mismatch, runs = _mismatch_ages(x, x_before, run, x_est)
-        layers = exponents(signal, age, w,
+        if self.markov:
+            x = self.x_block[offset:offset + _FRAMES]
+            mismatch, runs = _mismatch_ages(x, self.x_before, self.run_length,
+                                            self.x_est)
+        layers = exponents(signal, age, self.w,
                            mismatch if signal == "aoii" else None)
         if contention:
-            log_e = log_e_block[block]
+            log_e = self.log_e[offset:offset + _FRAMES]
+            log_rate_table = self.log_rate_table
             if signal == "aoii":
                 layers = layers[:, :_FRAMES]
             layers = np.subtract(log_e, layers * params.ln_alpha)
@@ -359,12 +325,11 @@ def run(config: NetworkConfig, kind: PolicyKind,
         # minislot, until the block ends or the last delivery is made.
         # A delivery changes only its source's state, so it patches only
         # that source's column of what the next decision reads.
-        rows = min(_FRAMES, cap - frames)
-        left = target - deliveries if by_deliveries else rows
         if decide == "randomized":
-            won, slots = picks[offset:offset + min(rows, left)], []
+            won, slots = self.picks[offset:offset + min(rows, left)], []
         else:
             won, slots = [], []
+            decision, after_collision = self.decision, self.after_collision
             r = 0
             while r < rows and left:
                 if decide == "argmax":
@@ -405,75 +370,127 @@ def run(config: NetworkConfig, kind: PolicyKind,
                     elif signal == "frame_age":
                         now[r + 1:, j] = age_table[1:_FRAMES - r, j]
                 r += 1
+            self.after_collision = after_collision
 
-        # The accounting pass: the block's deliveries in frame order.
-        first, done = frames, len(won)
-        frames += done
-        deliveries += done - won.count(-1)
+        # The accounting pass: the block's deliveries in frame order.  The
+        # AoII sum reads layer 2 of the mismatch ages, so every kind with
+        # Markov sources patches it here: after a delivery in state v the
+        # delivered source's layer 2 is layer v.  (Under max-AoII, now is
+        # layer 2 itself, so this rewrites what the walk wrote.)
+        done = len(won)
+        self.frames += done
+        self.deliveries += done - won.count(-1)
+        markov, frame_age_sum = self.markov, self.frame_age_sum
         for r, j in enumerate(won):
             if j >= 0:
                 m = first + r - last[j]
                 frame_age_sum[j] += m * (m + 1) // 2
                 last[j] = first + r
-                if patch_aoii:
-                    v = int(x.item(r, j))
-                    mismatch[2, r + 1:, j] = mismatch[v, r + 1:, j]
+                if markov:
+                    mismatch[2, r + 1:, j] = mismatch[int(x.item(r, j)), r + 1:, j]
         if discrete:
-            steps = np.array([elapsed]
-                             + [1.0 + s / slots_per_update for s in slots])
-            elapsed = np.add.accumulate(steps)[-1].item()
-            durations = steps[1:]
-            overhead_minislots += sum(slots)
-            clock_age, clock_age_integral = _clock_ages(
-                clock_age, clock_age_integral, durations, won)
+            steps = np.array([self.elapsed] + [
+                1.0 + s / params.minislots_per_update for s in slots])
+            self.elapsed = np.add.accumulate(steps)[-1].item()
+            self.overhead_minislots += sum(slots)
+            self.clock_age, self.clock_age_integral = _clock_ages(
+                self.clock_age, self.clock_age_integral, steps[1:], won)
         else:
             # unit frames: every partial sum is an exact integer
-            elapsed += done
+            self.elapsed += done
         if trace is not None:
-            if contention:
-                keys = key_of(now[:done], params, discrete)
             for r, j in enumerate(won):
-                if not contention:
-                    winners, timer = [j], 0.0
-                else:
-                    row = keys[r]
+                winners, timer = [j], 0.0
+                if contention:
+                    row = key_of(now[r], params, discrete)
                     tied = (minislots(row, params.b_offset) == slots[r]
                             if discrete else row == row.min())
                     winners = np.flatnonzero(tied).tolist()
                     timer = (slots[r] if discrete
                              else np.exp(now[r])[winners[0]])
-                duration = durations[r] if discrete else 1.0
+                duration = steps[r + 1] if discrete else 1.0
                 trace.write(f"frame={first + r + 1} min_timer={timer:g} "
                             f"winners={','.join(map(str, winners))} "
                             f"collided={int(j < 0)} "
                             f"delivered={'-' if j < 0 else j} "
                             f"duration={duration:.6f}\n")
-        if markov_q is not None:
-            aoii_sum += mismatch[2, 1:done + 1].sum(axis=0)
+        if markov:
+            self.aoii_sum += mismatch[2, 1:done + 1].sum(axis=0)
             # A mismatch age is positive exactly while the state differs
             # from the estimate.
-            x_before, run = x[done - 1].copy(), runs[done - 1]
-            x_est = x_before ^ (mismatch[2, done] > 0)
+            self.x_before, self.run_length = x[done - 1].copy(), runs[done - 1]
+            self.x_est = self.x_before ^ (mismatch[2, done] > 0)
+
+
+def run(config: NetworkConfig, kind: PolicyKind,
+        params: BackoffParams | None = None, *,
+        prefix: tuple[int, ...] = (),
+        markov_q: "float | np.ndarray | None" = None,
+        horizon_unit: str = "frames",
+        max_frames: int | None = None,
+        trace: IO[str] | None = None) -> SimulationResult:
+    """Simulate config.horizon_frames frames (or delivered updates) of
+    kind's rule and return time-averaged metrics.
+
+    Draws come from substreams(config.seed, prefix, ...); experiments
+    pass prefix (rep,) per replication.  horizon_unit="deliveries" runs
+    until config.horizon_frames updates have been delivered, so
+    collision-prone configurations are compared at equal useful work; a
+    frame cap (max_frames, a whole number at least 1, default 100x the
+    target) turns a non-delivering configuration into an error instead
+    of a hang.  A frames horizon takes no cap.  trace, if given,
+    receives one line per frame, whose min_timer is the winner's timer:
+    its minislot on the grid, Z in the idealized model.
+    """
+    if horizon_unit not in ("frames", "deliveries"):
+        raise ParameterError(f"unknown horizon_unit {horizon_unit!r}")
+    if horizon_unit == "frames" and max_frames is not None:
+        raise ParameterError("max_frames caps a deliveries horizon; "
+                             "a frames horizon is its own cap")
+    if max_frames is not None:
+        max_frames = whole_number("max_frames", max_frames, least=1)
+    if kind not in RULES:
+        raise ParameterError(f"unknown policy kind {kind!r}")
+    decide, signal, discrete = RULES[kind]
+    if decide == "contention" and params is None:
+        raise ParameterError(f"{kind.value} needs backoff parameters")
+    if signal == "aoii" and markov_q is None:
+        raise ParameterError(f"{kind.value} needs Markov sources "
+                             "(markov_q) to compute mismatch ages")
+
+    # A frames horizon ends at its frame count, which no delivery count
+    # can pass first; a deliveries horizon ends at its target or the cap.
+    target = config.horizon_frames
+    cap = (target if horizon_unit == "frames"
+           else 100 * target if max_frames is None else max_frames)
+    state = _RunState(config, kind, params, prefix, markov_q)
+    while state.frames < cap and state.deliveries < target:
+        state.step(min(_FRAMES, cap - state.frames),
+                   target - state.deliveries, trace)
+    frames, deliveries = state.frames, state.deliveries
+    if horizon_unit == "deliveries" and deliveries < target:
+        raise RuntimeError(
+            f"frame cap {cap} reached with only {deliveries} "
+            f"of {target} deliveries; the configuration is not delivering")
 
     frame_mean = np.array([s + (frames - l) * (frames - 1 - l) // 2
-                           for s, l in zip(frame_age_sum, last)],
+                           for s, l in zip(state.frame_age_sum, state.last)],
                           dtype=float) / frames
-    per_source = (clock_age_integral / elapsed if discrete else frame_mean)
-    normalized = float((w * per_source).sum() / n)
-    aoii_mean = (float(aoii_sum.mean() / frames)
-                 if markov_q is not None else None)
+    per_source = (state.clock_age_integral / state.elapsed if discrete
+                  else frame_mean)
 
     return SimulationResult(
         policy=kind,
-        normalized_weighted_avg_aoi=normalized,
+        normalized_weighted_avg_aoi=float((state.w * per_source).mean()),
         per_source_avg_aoi=tuple(float(x) for x in per_source),
         per_source_avg_frame_aoi=tuple(float(x) for x in frame_mean),
-        normalized_avg_aoii=aoii_mean,
+        normalized_avg_aoii=(float(state.aoii_sum.mean() / frames)
+                             if state.markov else None),
         collision_rate=(frames - deliveries) / frames,
-        avg_overhead_minislots=overhead_minislots / frames,
+        avg_overhead_minislots=state.overhead_minislots / frames,
         frame_count=frames,
         delivery_count=deliveries,
-        elapsed_time=elapsed,
+        elapsed_time=state.elapsed,
         config=config,
         params=params,
     )

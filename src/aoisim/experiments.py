@@ -25,6 +25,7 @@ from .core import (
     NetworkConfig,
     ParameterError,
     recommended_defaults,
+    whole_number,
 )
 from .engine import run
 from .policies import RULES, PolicyKind
@@ -36,6 +37,7 @@ DEFAULT_HORIZON = 100_000
 _SWEEP_TYPES = {"n_sources": int, "alpha": float, "beta": float,
                 "b_offset": int}
 SWEEPABLE = tuple(_SWEEP_TYPES)
+_WEIGHT_NAMES = ("ones", "sqrt")
 
 CSV_COLUMNS = (
     "scenario", "policy", "n_sources", "sweep_param", "sweep_value",
@@ -88,10 +90,14 @@ class ExperimentSpec:
                                      f"be integers, got {self.sweep_values}")
         if self.horizon_unit not in ("frames", "deliveries"):
             raise ParameterError(f"unknown horizon_unit {self.horizon_unit!r}")
-        if self.horizon < 1:
-            raise ParameterError("horizon must be >= 1")
-        if self.replications < 1:
-            raise ParameterError("replications must be >= 1")
+        # whole floats are stored as ints
+        for name, least in (("n_sources", None), ("horizon", 1),
+                            ("replications", 1)):
+            object.__setattr__(self, name,
+                               whole_number(name, getattr(self, name), least))
+        if isinstance(self.weights, str) and self.weights not in _WEIGHT_NAMES:
+            raise ParameterError(f"unknown weights {self.weights!r}; choose "
+                                 f"one of {_WEIGHT_NAMES} or a tuple")
 
 
 @dataclass(frozen=True)
@@ -300,7 +306,7 @@ def _policies(text: str) -> tuple[PolicyKind, ...]:
 
 
 def _weights(text: str) -> "str | tuple[float, ...]":
-    return text if text in ("ones", "sqrt") else _floats(text)
+    return text if text in _WEIGHT_NAMES else _floats(text)
 
 
 # Config key -> (ExperimentSpec field, value parser).  An absent key is

@@ -321,6 +321,19 @@ def test_network_config_validation():
         NetworkConfig(2, (1.0, 1.0), 0, 0)
     with pytest.raises(ParameterError):
         NetworkConfig(2, (1.0, 1.0), 10, -5)
+    # counts and the seed are whole numbers: a horizon of 2.5 frames ran
+    # 3, one of 2.5 deliveries ran 64, and a seed of 1.5 reached numpy
+    for args, name in [(("2", (1.0, 1.0), 10, 0), "n_sources"),
+                       ((2, (1.0, 1.0), 2.5, 0), "horizon_frames"),
+                       ((2, (1.0, 1.0), "10", 0), "horizon_frames"),
+                       ((2, (1.0, 1.0), 10, 1.5), "seed"),
+                       ((2, (1.0, 1.0), 10, None), "seed")]:
+        with pytest.raises(ParameterError, match=f"{name} must be a whole"):
+            NetworkConfig(*args)
+    whole = NetworkConfig(2.0, (1.0, 1.0), 10.0, np.float64(3.0))
+    assert [type(v) for v in (whole.n_sources, whole.horizon_frames,
+                              whole.seed)] == [int, int, int]
+    assert whole == NetworkConfig(2, (1.0, 1.0), 10, 3)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

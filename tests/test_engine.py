@@ -517,9 +517,10 @@ def test_run_max_frames_needs_deliveries_horizon():
         run(config, PolicyKind.MAX_WEIGHT, max_frames=10)
 
 
-@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("cap", [0, -5, 2.5, "10"])
 def test_run_rejects_nonpositive_max_frames(cap):
-    # a cap below one frame is a usage error, not a non-delivering run
+    # a cap below one frame, or one that is not a whole number of frames,
+    # is a usage error, not a non-delivering run
     config = NetworkConfig(3, tuple([1.0] * 3), 200, 2)
     with pytest.raises(ParameterError):
         run(config, PolicyKind.MAX_WEIGHT, horizon_unit="deliveries",
@@ -716,6 +717,24 @@ def test_collision_runs_equal_reference_frame_loop(name):
         assert 0.2 < result.collision_rate < 0.9 and ends
     else:
         assert ends
+
+
+def test_a_collision_run_is_settled_in_one_pass(monkeypatch):
+    # at B = 0 every timer below one time unit lands in minislot 0, so all
+    # four sources collide in every frame.  The run's first frame resolves
+    # alone; from the second on, the rest of each block takes one
+    # resolve_rows pass
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return policies.resolve_rows(*args)
+
+    monkeypatch.setattr("aoisim.engine.resolve_rows", counting)
+    result = run(NetworkConfig(4, (1.0,) * 4, 10 * _FRAMES, 1), _NR,
+                 BackoffParams(alpha=2.0, beta=1.1, b_offset=0))
+    assert result.collision_rate == 1.0
+    assert calls == [_FRAMES - 1] + [_FRAMES] * 9
 
 
 @pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.value)

@@ -96,14 +96,35 @@ def test_spec_rejects_empty_policies():
 
 
 @pytest.mark.parametrize("mistake", [dict(alpha=0.5), dict(horizon=0),
-                                     dict(weights=(1.0, 2.0))])
+                                     dict(weights=(1.0, 2.0)),
+                                     dict(replications=1.5),
+                                     dict(n_sources=2.5), dict(n_sources="3"),
+                                     dict(horizon=2.5), dict(weights="sqrtt")])
 def test_spec_mistakes_raise_one_error_type(mistake):
-    # a bad parameter, a bad horizon and a wrong weight count are all
-    # ParameterError, whether the spec or the run finds them
+    # a bad parameter, a bad horizon, a wrong weight count, a fractional
+    # count and an unknown weights name are all ParameterError, whether
+    # the spec or the run finds them
     with pytest.raises(ParameterError):
         run_experiment(ExperimentSpec(
             scenario="x", policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
-            n_sources=3, **{"horizon": 100, **mistake}))
+            **{"n_sources": 3, "horizon": 100, **mistake}))
+
+
+def test_spec_counts_are_whole_numbers_at_construction():
+    # found when the spec is made, not when it first runs; whole floats
+    # are stored as ints
+    for name, bad in [("n_sources", 2.5), ("horizon", 2.5), ("horizon", "9"),
+                      ("replications", 1.5), ("replications", None)]:
+        with pytest.raises(ParameterError, match=f"{name} must be a whole"):
+            ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
+                           **{"n_sources": 3, name: bad})
+    with pytest.raises(ParameterError, match="unknown weights 'sqrtt'"):
+        ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
+                       n_sources=3, weights="sqrtt")
+    spec = ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
+                          n_sources=3.0, horizon=100.0, replications=2.0)
+    assert [type(v) for v in (spec.n_sources, spec.horizon,
+                              spec.replications)] == [int, int, int]
 
 
 @pytest.mark.parametrize("param, values", [
