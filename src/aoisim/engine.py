@@ -47,7 +47,8 @@ The walk stops at the block's end or at the last delivery a deliveries
 horizon needs.  The accounting pass then goes over the recorded
 deliveries in frame order: the delivery count, the frame-age sums, and
 layer 2 of the mismatch ages, which it patches for every kind with
-Markov sources and from which the AoII sum and the estimates follow.
+Markov sources but max-AoII (whose walk decides from layer 2 itself and
+has patched it), and from which the AoII sum and the estimates follow.
 It also forms the frame, overhead and elapsed-time totals, the clock
 ages and their integral (_clock_ages) and the trace lines.  Every float
 sum runs in frame order, through np.add.accumulate, so each value is
@@ -221,8 +222,6 @@ def _clock_ages(age: np.ndarray, integral: np.ndarray, durations: np.ndarray,
     return ages[k], terms[k]
 
 
-
-
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
@@ -257,9 +256,8 @@ class _RunState:
                     f"transition probabilities must be in [0,1], got {q}")
             self.states = _trajectory(q, np.zeros(n), engine_stream)
             # Every source starts in state 0, matched by its estimate, so the
-            # length of that first run never shows.  step replaces both
-            # arrays and never writes into them, so they may start as one.
-            self.x_before = self.x_est = np.zeros(n, dtype=bool)
+            # length of that first run never shows.
+            self.x_before, self.x_est = np.zeros((2, n), dtype=bool)
             self.run_length = np.ones(n)
             self.aoii_sum = np.zeros(n)
         if decide == "randomized":
@@ -373,10 +371,11 @@ class _RunState:
             self.after_collision = after_collision
 
         # The accounting pass: the block's deliveries in frame order.  The
-        # AoII sum reads layer 2 of the mismatch ages, so every kind with
-        # Markov sources patches it here: after a delivery in state v the
-        # delivered source's layer 2 is layer v.  (Under max-AoII, now is
-        # layer 2 itself, so this rewrites what the walk wrote.)
+        # AoII sum reads layer 2 of the mismatch ages: after a delivery in
+        # state v the delivered source's layer 2 is layer v.  Max-AoII's
+        # now is layer 2 itself (exponents returns the float mismatch
+        # array), so its walk has written it; every other kind with Markov
+        # sources patches it here.
         done = len(won)
         self.frames += done
         self.deliveries += done - won.count(-1)
@@ -386,7 +385,7 @@ class _RunState:
                 m = first + r - last[j]
                 frame_age_sum[j] += m * (m + 1) // 2
                 last[j] = first + r
-                if markov:
+                if markov and (contention or signal != "aoii"):
                     mismatch[2, r + 1:, j] = mismatch[int(x.item(r, j)), r + 1:, j]
         if discrete:
             steps = np.array([self.elapsed] + [

@@ -83,11 +83,9 @@ class ExperimentSpec:
                                      f"choose one of {SWEEPABLE}")
             if len(self.sweep_values) == 0:
                 raise ParameterError("sweep_values is empty")
-            if (_SWEEP_TYPES[self.sweep_param] is int
-                    and not all(float(v).is_integer()
-                                for v in self.sweep_values)):
-                raise ParameterError(f"{self.sweep_param} sweep values must "
-                                     f"be integers, got {self.sweep_values}")
+            if _SWEEP_TYPES[self.sweep_param] is int:
+                for v in self.sweep_values:
+                    whole_number(f"{self.sweep_param} sweep value", v)
         if self.horizon_unit not in ("frames", "deliveries"):
             raise ParameterError(f"unknown horizon_unit {self.horizon_unit!r}")
         # whole floats are stored as ints

@@ -2,7 +2,6 @@
 
     python tests/mutants.py              # every mutant, two at a time
     python tests/mutants.py -k engine    # mutants whose name holds 'engine'
-    python tests/mutants.py --jobs 1
 
 A mutant is one exact text replacement in one file.  The script copies
 the tree (src, tests, bench, pyproject.toml) to a temporary directory,
@@ -33,6 +32,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 TREE = ("src", "tests", "bench", "pyproject.toml")
 TIMEOUT_S = 300
+JOBS = 2  # mutants run at a time
 
 ENGINE = "src/aoisim/engine.py"
 CORE = "src/aoisim/core.py"
@@ -70,6 +70,10 @@ MUTANTS = (
     Mutant("engine-no-layer2-patch", ENGINE,
            "mismatch[2, r + 1:, j] = mismatch[int(x.item(r, j)), r + 1:, j]",
            "pass",
+           (T_REFERENCE, "tests/test_regression.py")),
+    Mutant("engine-layer2-patch-skips-contention-aoii", ENGINE,
+           'if markov and (contention or signal != "aoii"):',
+           'if markov and signal != "aoii":',
            (T_REFERENCE, "tests/test_regression.py")),
     Mutant("engine-frame-age-sum", ENGINE,
            "frame_age_sum[j] += m * (m + 1) // 2",
@@ -223,14 +227,14 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def apply(tree: Path, mutant: Mutant) -> None:
-    path = tree / mutant.path
-    text = path.read_text(encoding="utf-8")
+def mutated(mutant: Mutant) -> str:
+    """The text of mutant's file with the mutant applied."""
+    text = (ROOT / mutant.path).read_text(encoding="utf-8")
     found = text.count(mutant.old)
     if found != 1:
         raise ValueError(f"{mutant.name}: the text to replace occurs "
                          f"{found} times in {mutant.path}, not once")
-    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return text.replace(mutant.old, mutant.new)
 
 
 def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[bool, str]:
@@ -254,7 +258,7 @@ def try_mutant(mutant: Mutant) -> tuple[Mutant, bool, float, str]:
     with tempfile.TemporaryDirectory(prefix="aoisim-mutant-") as tmp:
         tree = Path(tmp)
         copy_tree(tree)
-        apply(tree, mutant)
+        (tree / mutant.path).write_text(mutated(mutant), encoding="utf-8")
         start = time.perf_counter()
         survived, tail = run_tests(tree, mutant.tests)
         return mutant, survived, time.perf_counter() - start, tail
@@ -264,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-k", default="", help="run mutants whose name "
                         "contains this text")
-    parser.add_argument("--jobs", type=int, default=2)
     args = parser.parse_args(argv)
     mutants = [m for m in MUTANTS if args.k in m.name]
     if not mutants:
@@ -272,14 +275,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     # every mutant applies, and its tests pass before it is applied
+    try:
+        for mutant in mutants:
+            mutated(mutant)
+    except ValueError as error:
+        print(error)
+        return 1
     with tempfile.TemporaryDirectory(prefix="aoisim-mutant-") as tmp:
         tree = Path(tmp)
         copy_tree(tree)
-        for mutant in mutants:
-            text = (tree / mutant.path).read_text(encoding="utf-8")
-            if text.count(mutant.old) != 1:
-                print(f"{mutant.name}: does not apply to {mutant.path}")
-                return 1
         tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
         start = time.perf_counter()
         passed, tail = run_tests(tree, tests)
@@ -291,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
     unexpected = killed = 0
-    with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(JOBS) as pool:
         for mutant, survived, seconds, tail in pool.map(try_mutant, mutants):
             killed += not survived
             note = ""

@@ -173,7 +173,7 @@ def test_sweep_fractional_integer_values_exit_2(param, values, tmp_path,
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(cfg), "--param", param,
                  "--values", values, "--output", str(out)]) == 2
-    assert "integ" in capsys.readouterr().err
+    assert "sweep value must be a whole number" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -131,9 +131,10 @@ def test_spec_counts_are_whole_numbers_at_construction():
     ("n_sources", (2.7, 3.0)),
     ("b_offset", (5.9,)),
     ("b_offset", (math.nan,)),
+    ("n_sources", ("3",)),
 ])
 def test_spec_rejects_fractional_integer_sweep(param, values):
-    with pytest.raises(ParameterError, match="integ"):
+    with pytest.raises(ParameterError, match="sweep value must be a whole"):
         ExperimentSpec(scenario="x", policies=(PolicyKind.MAX_WEIGHT,),
                        n_sources=2, sweep_param=param, sweep_values=values)
 
