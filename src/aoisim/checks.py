@@ -86,22 +86,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-_pool_lock = threading.Lock()
-_pool = None  # (pid, ThreadPoolExecutor) once a block has run on threads
-
-
-def _executor(threads: int):
-    """The process's pool of sampling threads, started on first use.  A
-    forked child cannot use its parent's threads, so it starts its own."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = (os.getpid(), ThreadPoolExecutor(
-                threads, thread_name_prefix="aoisim-timers"))
-        return _pool[1]
-
-
 # ---------------------------------------------------------------------------
 # Sampled states: a plan drawn in order, reductions run across the cores
 # ---------------------------------------------------------------------------
@@ -115,11 +99,6 @@ class _State(NamedTuple):
     log_rate: list[float]
     reduce: Callable[..., Any]
     info: Any
-
-
-class _ZeroUniform(Exception):
-    """A zero among a state's reserved uniforms, which unit_exponentials
-    would redraw."""
 
 
 class _Scratch:
@@ -138,27 +117,16 @@ class _Scratch:
 def _reserved_rows(gen: np.random.Generator, log_rate: list[float],
                    row: np.ndarray) -> Iterator[np.ndarray]:
     """Each source's ln-timers ln E - log_rate_i in turn, written over
-    row, with E = -log1p(-u) mapped in place as unit_exponentials maps it
-    (the same numpy calls, so the same bits), from gen placed at the
-    state's reserved draws.  Raises _ZeroUniform at a zero uniform."""
+    row, with E = -log1p(-u) mapped in place through numpy's log1p, from
+    gen placed at the state's reserved draws.  A zero uniform gives
+    E = 0, an ln-timer of -inf, as the engine's timers do."""
     for lr in log_rate:
         gen.random(out=row)
-        if row.min() == 0.0:
-            raise _ZeroUniform
         np.negative(row, out=row)
         np.log1p(row, out=row)
         np.negative(row, out=row)
-        np.log(row, out=row)
-        row -= lr
-        yield row
-
-
-def _rows_in_turn(stream: RngStream, log_rate: list[float],
-                  row: np.ndarray) -> Iterator[np.ndarray]:
-    """The same rows drawn from the stream itself through
-    unit_exponentials, which redraws a zero uniform."""
-    for lr in log_rate:
-        np.log(stream.unit_exponentials(len(row)), out=row)
+        with np.errstate(divide="ignore"):
+            np.log(row, out=row)
         row -= lr
         yield row
 
@@ -168,12 +136,15 @@ def _run(block: list, samples: int) -> list:
     order.
 
     The usable cores pull whole states from one shared queue, the states
-    with the most rows first; the calling thread is one of them, and the
-    pool supplies the rest.  Each worker places its own generator at a
-    state's start and draws and reduces the state in its own scratch
-    rows.  An error (a zero uniform among them) stops every worker from
+    with the most rows first; the calling thread is one of them, and a
+    thread pool opened for this block supplies the rest.  Each worker
+    places its own generator at a state's start and draws and reduces
+    the state in its own scratch rows.  An error stops every worker from
     taking another state, and is raised once all of them have stopped.
+    Leaving the pool waits for its threads, so none outlives the block.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     order = iter(sorted(range(len(block)),
                         key=lambda k: -len(block[k][0].log_rate)))
     most_rows = max(len(state.log_rate) for state, _ in block)
@@ -199,24 +170,18 @@ def _run(block: list, samples: int) -> list:
                 raise
 
     cores = _worker_count()
-    jobs = [_executor(cores - 1).submit(work)
-            for _ in range(min(cores, len(block)) - 1)]
-    try:
+    with ThreadPoolExecutor(cores, thread_name_prefix="aoisim-timers") as pool:
+        jobs = [pool.submit(work) for _ in range(min(cores, len(block)) - 1)]
         work()
-    finally:
-        # no worker may still draw once this returns or raises
-        errors = [job.exception() for job in jobs]
-    for error in errors:
-        if error is not None:
-            raise error
+    for job in jobs:
+        job.result()  # raises the error a pool thread stopped on
     return results
 
 
-def _sample(new_stream: Callable[[], RngStream],
-            plan: Callable[[RngStream], Iterator[_State]],
+def _sample(stream: RngStream, states: Iterator[_State],
             samples: int) -> Iterator[tuple[_State, Any]]:
-    """(state, statistic) for each state plan(stream) draws, in order,
-    from stream = new_stream(), the stream at the check's seed.
+    """(state, statistic) for each of states, in order; states draws its
+    parameters from stream, the stream at the check's seed.
 
     Plan pass: at most _BLOCK states at a time are drawn in order, each
     state's parameters through the stream's scalar API, and each state's
@@ -224,31 +189,11 @@ def _sample(new_stream: Callable[[], RngStream],
     scalar cache refills where drawing the rows would leave it.  Run
     pass: _run draws and reduces the block's states across the cores.
     The statistics are those of drawing every state's rows one after
-    another through unit_exponentials, whatever the core count.  A zero
-    uniform, whose redraw shifts every later draw, reruns the plan from a
-    new stream that way, skipping the states already given.
+    another from the stream's uniforms, whatever the core count.
     """
-    stream = new_stream()
-    states = plan(stream)
-    given = 0
-    try:
-        while block := [(state, stream.jump_ahead(len(state.log_rate)
-                                                  * samples))
-                        for state in itertools.islice(states, _BLOCK)]:
-            yield from zip([state for state, _ in block],
-                           _run(block, samples))
-            given += len(block)
-        return
-    except _ZeroUniform:
-        pass
-    stream = new_stream()
-    for k, state in enumerate(plan(stream)):
-        if k < given:
-            stream.jump_ahead(len(state.log_rate) * samples)
-            continue
-        scratch = _Scratch(samples, len(state.log_rate))
-        yield state, state.reduce(
-            _rows_in_turn(stream, state.log_rate, scratch.row), scratch)
+    while block := [(state, stream.jump_ahead(len(state.log_rate) * samples))
+                    for state in itertools.islice(states, _BLOCK)]:
+        yield from zip([state for state, _ in block], _run(block, samples))
 
 
 def _first_minimum_wins(rows: Iterator[np.ndarray],
@@ -369,9 +314,9 @@ def check_winner_distribution(trials: int = 20, samples: int = 100_000,
     """Empirical winner frequencies of the idealized contention match the
     closed-form distribution within 3 Monte Carlo standard errors."""
     worst = math.inf
-    for state, wins in _sample(
-            partial(_state_stream, seed, trials=trials, samples=samples),
-            partial(_winner_states, trials=trials), samples):
+    stream = _state_stream(seed, trials=trials, samples=samples)
+    for state, wins in _sample(stream, _winner_states(stream, trials),
+                               samples):
         probs = state.info
         stderr = np.sqrt(probs * (1.0 - probs) / samples)
         margin = float((3.0 * stderr - np.abs(wins / samples - probs)).min())
@@ -408,11 +353,11 @@ def check_drift_dominance(trials: int = 10_000, n: int = 10,
 # Distinct-timer bound
 # ---------------------------------------------------------------------------
 
-def _distinct_states(stream: RngStream) -> Iterator[_State]:
+def _distinct_states() -> Iterator[_State]:
     """thm3's states: two sources on every (rate, rate, beta, B) cell of
     its grid, B innermost; info is the cell's closed-form bound and the
     step of the bound's directional term from the previous B.  The grid
-    draws no parameter from the stream."""
+    draws no parameter, so only the rows come from the stream."""
     log_rates = (0.0, 10.0, 20.0)
     for lri in log_rates:
         for lrj in log_rates:
@@ -435,9 +380,8 @@ def check_distinct_timer_bound(samples: int = 100_000,
     terms are non-decreasing in B."""
     worst = math.inf
     cells = 0
-    for state, distinct in _sample(partial(_state_stream, seed,
-                                           samples=samples),
-                                   _distinct_states, samples):
+    stream = _state_stream(seed, samples=samples)
+    for state, distinct in _sample(stream, _distinct_states(), samples):
         bound, step = state.info
         # Laplace-smoothed, so the error cannot vanish when every pair
         # lands on the same side
@@ -478,10 +422,10 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
     """Sampled mean winning timer stays below the closed-form idle-time
     bound at random states."""
     worst = math.inf
-    for state, total in _sample(
-            partial(_state_stream, seed, least_n=1, trials=trials,
-                    samples=samples, n=n),
-            partial(_idle_states, trials=trials, n=n), samples):
+    stream = _state_stream(seed, least_n=1, trials=trials, samples=samples,
+                           n=n)
+    for state, total in _sample(stream, _idle_states(stream, trials, n),
+                                samples):
         worst = min(worst, state.info - total / samples)
     return CheckResult(name="idle-time upper bound", ok=worst >= 0.0,
                        worst_margin=worst, trials=trials,

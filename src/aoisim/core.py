@@ -84,23 +84,6 @@ class RngStream:
         _check_counts("uniforms", size)
         return self._gen.random(size)
 
-    def unit_exponentials(self, n: int) -> np.ndarray:
-        """Bulk inverse-CDF draws -log1p(-u) from exp(1); strictly positive.
-
-        Zero uniforms are redrawn in place and numpy's log1p is used, so
-        the values are not those of exponential_sequence.  The map runs
-        in place on the drawn uniforms (negation is exact), so a draw
-        allocates its result and nothing else.
-        """
-        _check_counts("unit_exponentials", n)
-        u = self._gen.random(n)
-        while not u.all():
-            zeros = u == 0.0
-            u[zeros] = self._gen.random(int(zeros.sum()))
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        return np.negative(u, out=u)
-
     def jump_ahead(self, count: int) -> dict:
         """Reserve this stream's next count bulk draws: return the state
         of its bit generator where they begin, and move the stream past
@@ -121,20 +104,17 @@ class RngStream:
     def exponential_sequence(self, n: int) -> np.ndarray:
         """The next n terms of this stream's exp(1) sequence.
 
-        Term k is -log1p(-u) of the stream's k-th non-zero uniform, so the
-        sequence does not depend on how it is split into calls.  numpy's
-        inverse-CDF sampler takes the same uniforms random() would and
-        calls the C library's log1p per term, as math.log1p does: numpy's
-        vector log1p can differ from it in the last bit, which would move
-        float ties between timers.  A term of 0.0 is a zero uniform.
+        Term k is -log1p(-u) of the stream's k-th uniform, so the sequence
+        does not depend on how it is split into calls, and n terms take n
+        uniforms.  numpy's inverse-CDF sampler takes the same uniforms
+        random() would and calls the C library's log1p per term, as
+        math.log1p does: numpy's vector log1p can differ from it in the
+        last bit, which would move float ties between timers.  A zero
+        uniform gives a term of 0.0, whose ln is -inf: on the 2**-53 grid
+        of uniforms it stands for the exp(1) mass in [0, 2**-53).
         """
         _check_counts("exponential_sequence", n)
-        e = self._gen.standard_exponential(n, method="inv")
-        while not e.all():
-            e = e[e != 0.0]
-            e = np.concatenate(
-                [e, self._gen.standard_exponential(n - len(e), method="inv")])
-        return e
+        return self._gen.standard_exponential(n, method="inv")
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""

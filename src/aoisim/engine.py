@@ -286,10 +286,13 @@ class _RunState:
         if offset == 0:
             # Refill the draw blocks, each in place: ln E takes one exp(1)
             # draw per source and frame, with ln applied once per block.
+            # A zero draw (a zero uniform) is ln E = -inf, a timer that
+            # wins its frame, or minislot 0 on the grid.
             if contention:
                 for i, s in enumerate(self.sources):
                     self.log_e[:, i] = s.exponential_sequence(_BLOCK)
-                np.log(self.log_e, out=self.log_e)
+                with np.errstate(divide="ignore"):
+                    np.log(self.log_e, out=self.log_e)
             if self.markov:
                 self.x_block = next(self.states)
             if decide == "randomized":

@@ -75,6 +75,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.policies:
             raise ParameterError("at least one policy is required")
+        for kind in self.policies:
+            if not isinstance(kind, PolicyKind):
+                raise ParameterError(f"unknown policy kind {kind!r}")
+            if RULES[kind].signal == "aoii" and self.markov_q is None:
+                raise ParameterError(f"{kind.value} needs Markov sources "
+                                     "(markov_q) to compute mismatch ages")
         if (self.sweep_param is None) != (self.sweep_values is None):
             raise ParameterError("sweep_param and sweep_values go together")
         if self.sweep_param is not None:
@@ -228,7 +234,8 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
     with policies in listed order.  Rows carry replication means, their
     standard errors (blank for a single replication), and the
     closed-form overhead bound evaluated at the simulated average ages
-    for minislot-model runs.
+    for minislot-model runs under frame-age contention (blank under
+    AoII contention, whose rates the bound does not describe).
     """
     rows = []
     for point in resolve_points(spec):
@@ -241,7 +248,7 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
                     aoiis.append(result.normalized_avg_aoii)
                 collisions.append(result.collision_rate)
                 overheads.append(result.avg_overhead_minislots)
-                if RULES[kind].discrete:
+                if RULES[kind].discrete and RULES[kind].signal == "frame_age":
                     avg_ages = np.asarray(result.per_source_avg_aoi)
                     bounds.append(overhead_upper_bound(
                         avg_ages, point.config.weights_array, point.params,

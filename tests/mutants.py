@@ -48,8 +48,10 @@ T_SPEC_MISTAKES = ("tests/test_experiments.py::"
                    "test_spec_mistakes_raise_one_error_type")
 T_SPEC_WHOLE = ("tests/test_experiments.py::"
                 "test_spec_counts_are_whole_numbers_at_construction")
-T_ZERO_REDRAW = ("tests/test_checks.py::"
-                 "test_log_timers_redraw_a_zero_uniform_as_the_sequential_rows_do")
+T_ZERO_CHECKS = ("tests/test_checks.py::"
+                 "test_log_timers_take_a_zero_uniform_as_the_sequential_rows_do")
+T_ZERO_ENGINE = ("tests/test_engine.py::"
+                 "test_a_zero_uniform_is_a_timer_that_wins_its_frame")
 T_FAILING = ("tests/test_checks.py::"
              "test_a_failing_reduction_surfaces_after_every_worker_has_stopped")
 T_IMPORT = ("tests/test_checks.py::"
@@ -131,6 +133,17 @@ MUTANTS = (
            "if isinstance(self.weights, str) and self.weights not in "
            "_WEIGHT_NAMES:", "if False:",
            (T_SPEC_MISTAKES, T_SPEC_WHOLE)),
+    Mutant("spec-aoii-policy-without-markov", EXPERIMENTS,
+           'if RULES[kind].signal == "aoii" and self.markov_q is None:',
+           "if False:", (T_SPEC_MISTAKES,)),
+    Mutant("spec-policy-not-a-kind", EXPERIMENTS,
+           "if not isinstance(kind, PolicyKind):", "if False:",
+           (T_SPEC_MISTAKES,)),
+    Mutant("experiments-overhead-bound-on-aoii-rows", EXPERIMENTS,
+           'if RULES[kind].discrete and RULES[kind].signal == "frame_age":',
+           "if RULES[kind].discrete:",
+           ("tests/test_experiments.py::"
+            "test_run_experiment_overhead_bound_only_for_minislot_policies",)),
     Mutant("whole-run-max-frames", ENGINE,
            'max_frames = whole_number("max_frames", max_frames, least=1)',
            "max_frames = (max_frames if max_frames >= 1 else whole_number("
@@ -151,26 +164,37 @@ MUTANTS = (
            "np.divide(log_z, params.ln_beta)",
            ("tests/test_policies.py::"
             "test_grid_map_in_place_equals_the_grid_rule",)),
-    Mutant("core-unit-exponentials-keep-zeros", CORE,
-           "while not u.all():", "while False:",
-           ("tests/test_core.py::test_unit_exponentials_redraw_zero_uniforms",)),
+    # the zero-uniform rule: E = 0, ln E = -inf, nothing drawn again
+    Mutant("core-exponential-sequence-drops-zeros", CORE,
+           'return self._gen.standard_exponential(n, method="inv")',
+           'e = self._gen.standard_exponential(n, method="inv")\n'
+           "        return e[e != 0.0]",
+           ("tests/test_core.py::"
+            "test_exponential_sequence_maps_a_zero_uniform_to_zero",
+            T_ZERO_ENGINE)),
+    Mutant("engine-log-e-warns-at-zero", ENGINE,
+           'with np.errstate(divide="ignore"):\n'
+           "                    np.log(self.log_e, out=self.log_e)",
+           "if True:\n"
+           "                    np.log(self.log_e, out=self.log_e)",
+           (T_ZERO_ENGINE,)),
+    Mutant("checks-log-e-warns-at-zero", CHECKS,
+           'with np.errstate(divide="ignore"):\n'
+           "            np.log(row, out=row)",
+           "if True:\n"
+           "            np.log(row, out=row)",
+           (T_ZERO_CHECKS,)),
     # sampled checks
-    Mutant("checks-no-zero-check", CHECKS,
-           "if row.min() == 0.0:", "if False:", (T_ZERO_REDRAW,)),
-    Mutant("checks-no-zero-fallback", CHECKS,
-           "except _ZeroUniform:", "except ZeroDivisionError:",
-           (T_ZERO_REDRAW,)),
-    Mutant("checks-given-states-not-skipped", CHECKS,
-           "if k < given:", "if False:", (T_ZERO_REDRAW,)),
-    Mutant("checks-no-wait-for-jobs", CHECKS,
-           "errors = [job.exception() for job in jobs]", "errors = []",
-           (T_FAILING,)),
+    Mutant("checks-pool-error-dropped", CHECKS,
+           "job.result()  # raises", "pass  # raises", (T_FAILING,)),
+    Mutant("checks-run-leaves-pool-open", CHECKS,
+           'with ThreadPoolExecutor(cores, thread_name_prefix="aoisim-timers")'
+           " as pool:",
+           'pool = ThreadPoolExecutor(cores, thread_name_prefix="aoisim-timers")'
+           "\n    if True:",
+           (T_FAILING, T_IMPORT)),
     Mutant("checks-no-stop-flag", CHECKS,
            "while not failed.is_set():", "while True:", (T_FAILING,)),
-    Mutant("checks-pool-sized-by-first-block", CHECKS,
-           "jobs = [_executor(cores - 1).submit(work)",
-           "jobs = [_executor(min(cores, len(block)) - 1).submit(work)",
-           (T_IMPORT,)),
     Mutant("checks-winner-on-ties", CHECKS,
            "np.less(row, low, out=less)", "np.less_equal(row, low, out=less)",
            ("tests/test_checks.py::"
@@ -179,11 +203,6 @@ MUTANTS = (
            "import threading\n",
            "import threading\nfrom concurrent.futures import ThreadPoolExecutor\n",
            (T_IMPORT,)),
-    Mutant("checks-forked-child-reuses-pool", CHECKS,
-           "if _pool is None or _pool[0] != os.getpid():",
-           "if _pool is None:",
-           ("tests/test_checks.py::"
-            "test_a_forked_child_splits_timers_on_its_own_threads",)),
     # The pins hold each check's result.  thm3's worst margin is a
     # B-monotonicity step at the 1e-15 allowance, below every Monte Carlo
     # slack, so a looser Monte Carlo gate does not move it: a known gap.

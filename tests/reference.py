@@ -12,8 +12,8 @@ sources.
 
 It also holds the sampled verify checks' per-state statistics, drawn
 state after state: each state's parameters in the check's order, then
-its rows one after another through RngStream.unit_exponentials, reduced
-with plain numpy.
+its rows one after another from the stream's uniforms, reduced with
+plain numpy.
 """
 
 from __future__ import annotations
@@ -105,7 +105,8 @@ def _timer_rows(sources):
     while True:
         for i, s in enumerate(sources):
             log_e[:, i] = s.exponential_sequence(_BLOCK)
-        np.log(log_e, out=log_e)
+        with np.errstate(divide="ignore"):  # a zero draw is ln E = -inf
+            np.log(log_e, out=log_e)
         yield from log_e
 
 
@@ -276,15 +277,30 @@ def run(config: NetworkConfig, kind: PolicyKind,
     )
 
 
+def stream_with_zero_at(j: int, seed: int = 8) -> RngStream:
+    """A stream whose j-th next bulk uniform is 0.0: PCG64 outputs the
+    xor of its state's halves, rotated, so a zero state outputs 0, and the
+    generator steps before each output."""
+    stream = RngStream(seed)
+    bits = stream._gen.bit_generator
+    state = bits.state
+    state["state"]["state"] = 0
+    bits.state = state
+    bits.advance(-(j + 1))
+    return stream
+
+
 # ---------------------------------------------------------------------------
 # Sampled verify checks, one state after another
 # ---------------------------------------------------------------------------
 
 def log_timers(stream: RngStream, log_rate, samples: int) -> np.ndarray:
     """ln E_i - log_rate_i, one row of samples per source, the rows drawn
-    one after another through unit_exponentials."""
-    return np.array([np.log(stream.unit_exponentials(samples)) - lr
-                     for lr in log_rate]).reshape(len(log_rate), samples)
+    one after another as stream.uniforms(samples), with E = -log1p(-u)
+    through numpy's log1p; a zero uniform is E = 0, ln E = -inf."""
+    with np.errstate(divide="ignore"):
+        return np.array([np.log(-np.log1p(-stream.uniforms(samples))) - lr
+                         for lr in log_rate]).reshape(len(log_rate), samples)
 
 
 def winner_counts(stream: RngStream, samples: int, trials: int = 20):

@@ -29,7 +29,7 @@ from aoisim.checks import (
 )
 from aoisim.policies import minislots
 import reference
-from reference import contention_keys
+from reference import contention_keys, stream_with_zero_at
 
 
 def test_checks_registry_ids():
@@ -195,19 +195,6 @@ def test_sampled_checks_plan_their_states_in_blocks(monkeypatch):
                                  _reference_statistics(cid, 50))
 
 
-def _stream_with_zero_at(j):
-    """A stream whose j-th next bulk uniform is 0.0: PCG64 outputs the
-    xor of its state's halves, rotated, so a zero state outputs 0, and the
-    generator steps before each output."""
-    stream = RngStream(8)
-    bits = stream._gen.bit_generator
-    state = bits.state
-    state["state"]["state"] = 0
-    bits.state = state
-    bits.advance(-(j + 1))
-    return stream
-
-
 def _assert_streams_agree(a, b):
     # the next bulk and scalar draws of both streams are the same bits
     assert a.uniforms(7).tobytes() == b.uniforms(7).tobytes()
@@ -223,33 +210,34 @@ _ZERO_CASES = {"lemma1": (3, 2, 4096), "thm3": (81, 2, 0), "thm4": (3, 3, 4096)}
 
 @pytest.mark.parametrize("place", ["first", "middle", "last"],
                          ids=["first-range", "middle-range", "last-range"])
-def test_log_timers_redraw_a_zero_uniform_as_the_sequential_rows_do(
+def test_log_timers_take_a_zero_uniform_as_the_sequential_rows_do(
         monkeypatch, place):
     # the zero lies in the first, a middle or the last state, and so in
-    # the first, a middle or the last range of states planned together
+    # the first, a middle or the last range of states planned together;
+    # it is E = 0, an ln-timer of -inf, where the rows drawn in turn
+    # have it, and nothing is drawn again
     monkeypatch.setattr(checks, "_worker_count", lambda: 3)
-    # two states per range, so a zero in a later range reruns the check
-    # past the states it already gave
+    # two states per range
     monkeypatch.setattr(checks, "_BLOCK", 2)
     samples = 30
     for cid, (states, rows, first) in _ZERO_CASES.items():
         state = {"first": 0, "middle": states // 2, "last": states - 1}[place]
         j = first + (state * rows + rows - 1) * samples + 7
-        assert _stream_with_zero_at(j).uniforms(j + 1)[j] == 0.0
+        assert stream_with_zero_at(j).uniforms(j + 1)[j] == 0.0
         made = []
 
         def new_stream(seed, least_n=2, **counts):
-            made.append(_stream_with_zero_at(j))
+            made.append(stream_with_zero_at(j))
             return made[-1]
         kwargs = {} if cid == "thm3" else {"trials": states}
         if cid == "thm4":
             kwargs["n"] = rows
         got = _statistics(monkeypatch, cid, new_stream, samples=samples,
                           **kwargs)
-        ref = _stream_with_zero_at(j)
+        ref = stream_with_zero_at(j)
         expected = list(_SAMPLED[cid][1](ref, samples, **kwargs))
-        # the zero sent the check back to its seed: a second stream
-        assert len(made) == 2, cid
+        # one stream, drawn once from the check's seed
+        assert len(made) == 1, cid
         _assert_statistics_equal(got, expected)
         _assert_streams_agree(made[-1], ref)
 
@@ -296,10 +284,8 @@ def _run_python(code):
 
 
 def test_import_starts_no_thread_and_a_split_check_exits():
-    # the pool starts on first use, never at import, with a thread for
-    # every core but the calling one's even when its first block has
-    # fewer states, and its idle threads do not hold up the
-    # interpreter's exit
+    # threads start only while a check splits a block across the cores,
+    # never at import, and none is left once the check returns
     _run_python("import sys, threading\n"
                 "import aoisim\n"
                 "assert threading.active_count() == 1, threading.enumerate()\n"
@@ -307,13 +293,13 @@ def test_import_starts_no_thread_and_a_split_check_exits():
                 "from aoisim import checks\n"
                 "checks._worker_count = lambda: 4\n"
                 "assert checks.CHECKS['thm4'](trials=2, samples=20_000).ok\n"
-                "assert checks._pool[1]._max_workers == 3\n")
+                "assert threading.active_count() == 1, threading.enumerate()\n")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_splits_timers_on_its_own_threads():
-    # the parent's pool threads do not exist in a fork; a child waiting
-    # on them would hang, so the alarm ends it
+    # a fork copies only the calling thread; a child waiting on threads
+    # it does not have would hang, so the alarm ends it
     _run_python("import os, signal\n"
                 "from aoisim import checks\n"
                 "checks._worker_count = lambda: 2\n"

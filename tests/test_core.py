@@ -98,7 +98,6 @@ def test_stream_rejects_bad_seed_and_path():
 
 def test_unit_exponential_positive():
     assert np.all(RngStream(1).exponential_sequence(1000) > 0)
-    assert np.all(RngStream(1).unit_exponentials(1000) > 0)
 
 
 def test_exponential_sequence_is_the_scalar_inverse_cdf():
@@ -111,34 +110,15 @@ def test_exponential_sequence_is_the_scalar_inverse_cdf():
     assert got.tolist() == expected
 
 
-def test_exponential_sequence_skips_zero_uniforms():
-    values = [0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.125, 0.0, 0.375, 0.0, 0.625]
-    expected = [-math.log1p(-x) for x in values if x != 0.0]
+def test_exponential_sequence_maps_a_zero_uniform_to_zero():
+    # a zero uniform is a term of 0.0, not redrawn, so n terms take
+    # exactly n uniforms
+    values = [0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.125]
     stream = _scripted(values)
     got = list(stream.exponential_sequence(3)) + list(stream.exponential_sequence(2))
-    assert got == expected[:5]
-    # the generator stops right after the last term it used
-    assert stream._gen.values == [0.0, 0.625]
-
-
-@pytest.mark.parametrize("seed,path,n", [(31, (5,), 50), (7, (2,), 100_000),
-                                         (0, (), 1), (9, (1, 2), 0)])
-def test_unit_exponentials_are_numpy_log1p_of_the_stream_uniforms(seed, path, n):
-    u = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((seed, *path)))).random(n)
-    got = RngStream(seed, path).unit_exponentials(n)
-    assert got.tobytes() == (-np.log1p(-u)).tobytes()
-
-
-def test_unit_exponentials_redraw_zero_uniforms():
-    # both zeros are redrawn from the next two values; the second redraw
-    # is zero again, so it takes one more
-    values = [0.5, 0.0, 0.25, 0.0, 0.75, 0.0, 0.125, 0.375]
-    stream = _scripted(values)
-    got = stream.unit_exponentials(4)
-    assert got.tobytes() == (-np.log1p(-np.array([0.5, 0.75, 0.25, 0.125]))
-                             ).tobytes()
-    assert stream._gen.values == [0.375]
+    assert got == [-math.log1p(-x) for x in values[:5]]
+    assert got[1] == got[3] == got[4] == 0.0
+    assert stream._gen.values == [0.75, 0.125]
 
 
 def test_jump_ahead_places_generators_in_the_bulk_sequence():
@@ -164,7 +144,7 @@ def test_jump_ahead_places_generators_in_the_bulk_sequence():
 @pytest.mark.parametrize("method,args,count", [
     ("uniforms", (-1,), "-1"),
     ("uniforms", ((3, -2),), "(3, -2)"),
-    ("unit_exponentials", (-1,), "-1"),
+    ("exponential_sequence", (-1,), "-1"),
     ("exponential_sequence", (-4,), "-4"),
     ("integers", (5, (2, -1)), "(2, -1)"),
     ("jump_ahead", (-60,), "-60"),
@@ -194,10 +174,8 @@ def test_sample_exponential_rate_two():
 
 def test_sample_exponential_monte_carlo_mean():
     # Monte Carlo oracle on the unit exponential
-    s = RngStream(2024)
-    mean = float(s.unit_exponentials(1_000_000).mean())
+    mean = float(RngStream(2024).exponential_sequence(1_000_000).mean())
     assert 0.997 <= mean <= 1.003
-    assert 0.997 <= float(s.exponential_sequence(1_000_000).mean()) <= 1.003
 
 
 def test_sample_exponential_log_matches_linear():
@@ -292,7 +270,7 @@ def test_argmin_agrees_between_log_and_linear_domain():
     s = RngStream(77)
     for _ in range(200):
         log_rates = np.array([s.uniform() * 20 for _ in range(6)])
-        e = s.unit_exponentials(6)
+        e = s.exponential_sequence(6)
         linear = e / np.exp(log_rates)
         logs = np.log(e) - log_rates
         assert int(np.argmin(linear)) == int(np.argmin(logs))

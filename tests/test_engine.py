@@ -13,7 +13,7 @@ from aoisim import (
     RngStream,
     run,
 )
-from aoisim import policies
+from aoisim import engine, policies
 from aoisim.engine import _BLOCK, _FRAMES, _clock_ages, _trajectory
 from aoisim.policies import argmax_decide, exponents, key_of, minislots
 import reference
@@ -24,6 +24,7 @@ from reference import (
     contention_keys,
     frame_step,
     resolve,
+    stream_with_zero_at,
 )
 
 M = 10_000
@@ -755,3 +756,29 @@ def test_deliveries_horizon_stops_at_the_target_delivery(kind):
     assert result.delivery_count == 100
     assert _FRAMES < result.frame_count < 2 * _FRAMES
     assert not _collided(trace)[-1]
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.IDEALIZED_FRESH_CSMA, _NR],
+                         ids=lambda kind: kind.value)
+def test_a_zero_uniform_is_a_timer_that_wins_its_frame(monkeypatch, kind):
+    # source 2 draws its timer for frame 100 from a zero uniform: E = 0,
+    # so ln E = -inf wins the frame, in minislot 0 on the grid, and
+    # nothing is drawn again
+    frame, source = 100, 2
+    plain = engine.substreams
+
+    def crafted(seed, prefix, kind, n_sources):
+        engine_stream, decision, sources = plain(seed, prefix, kind, n_sources)
+        sources[source] = stream_with_zero_at(frame - 1)
+        return engine_stream, decision, sources
+    monkeypatch.setattr(engine, "substreams", crafted)
+    monkeypatch.setattr(reference, "substreams", crafted)
+    case = (NetworkConfig(4, (1.0,) * 4, 300, 7), kind,
+            BackoffParams(alpha=1.5, beta=1.1, b_offset=250), {})
+    expected, expected_trace = _outcome(reference.run, *case, traced=True)
+    result, trace = _outcome(run, *case, traced=True)
+    assert result == expected
+    assert trace == expected_trace
+    assert trace.splitlines()[frame - 1].startswith(
+        f"frame={frame} min_timer=0 winners={source} collided=0 "
+        f"delivered={source} ")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoisim import ParameterError, PolicyKind, parse_config, preset
+from aoisim import ParameterError, PolicyKind, experiments, parse_config, preset
 from aoisim.experiments import (
     ExperimentSpec,
     resolve_points,
@@ -99,15 +99,24 @@ def test_spec_rejects_empty_policies():
                                      dict(weights=(1.0, 2.0)),
                                      dict(replications=1.5),
                                      dict(n_sources=2.5), dict(n_sources="3"),
-                                     dict(horizon=2.5), dict(weights="sqrtt")])
-def test_spec_mistakes_raise_one_error_type(mistake):
+                                     dict(horizon=2.5), dict(weights="sqrtt"),
+                                     dict(policies=(PolicyKind.MAX_WEIGHT,
+                                                    PolicyKind.MAX_AOII)),
+                                     dict(policies=("max_weight",)),
+                                     dict(policies=(None,))])
+def test_spec_mistakes_raise_one_error_type(monkeypatch, mistake):
     # a bad parameter, a bad horizon, a wrong weight count, a fractional
-    # count and an unknown weights name are all ParameterError, whether
-    # the spec or the run finds them
+    # count, an unknown weights name, an AoII policy without Markov
+    # sources and a policy that is not a PolicyKind are all
+    # ParameterError, found by the spec or its points before any run
+    # starts
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the mistake was found")
+    monkeypatch.setattr(experiments, "run", no_run)
     with pytest.raises(ParameterError):
-        run_experiment(ExperimentSpec(
-            scenario="x", policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
-            **{"n_sources": 3, "horizon": 100, **mistake}))
+        run_experiment(ExperimentSpec(scenario="x", **{
+            "policies": (PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
+            "n_sources": 3, "horizon": 100, **mistake}))
 
 
 def test_spec_counts_are_whole_numbers_at_construction():
@@ -178,11 +187,17 @@ def test_run_experiment_stderr_only_with_replications():
 
 
 def test_run_experiment_overhead_bound_only_for_minislot_policies():
+    # the bound holds for frame-age rates; AoII contention's rates are
+    # alpha**(mismatch age), which it does not describe
     spec = _tiny_spec(policies=(PolicyKind.MAX_WEIGHT,
-                                PolicyKind.NEAR_REALISTIC_FRESH_CSMA))
+                                PolicyKind.NEAR_REALISTIC_FRESH_CSMA,
+                                PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII),
+                      markov_q=0.05)
     rows = run_experiment(spec)
     by_policy = {r["policy"]: r for r in rows}
     assert by_policy["max_weight"]["overhead_bound_minislots"] is None
+    assert by_policy["near_realistic_fresh_csma_aoii"][
+        "overhead_bound_minislots"] is None
     bound = by_policy["near_realistic_fresh_csma"]["overhead_bound_minislots"]
     assert bound is not None
     assert by_policy["near_realistic_fresh_csma"]["avg_overhead_minislots"] <= bound
