@@ -58,16 +58,21 @@ def _output_path(spec: ExperimentSpec, override: str | None) -> Path:
     return base / f"{spec.scenario}.csv"
 
 
+def _overrides(args) -> dict:
+    """The --seed, --horizon and --replications given, as spec fields; a
+    flag left out leaves the config's or the preset's value."""
+    given = {"base_seed": args.seed, "horizon": args.horizon,
+             "replications": args.replications}
+    return {k: v for k, v in given.items() if v is not None}
+
+
 def _load_config(args) -> ExperimentSpec:
     """The --config spec with --seed, --horizon and --replications applied."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParameterError(f"cannot read --config: {exc}") from None
-    overrides = {"base_seed": args.seed, "horizon": args.horizon,
-                 "replications": args.replications}
-    return replace(parse_config(text),
-                   **{k: v for k, v in overrides.items() if v is not None})
+    return replace(parse_config(text), **_overrides(args))
 
 
 def _emit(spec: ExperimentSpec, output: str | None) -> int:
@@ -95,10 +100,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    spec = preset(args.name, seed=args.seed, horizon=args.horizon,
-                  replications=args.replications, n_values=args.n_values,
-                  log_base=args.log_base)
-    return _emit(spec, args.output)
+    spec = preset(args.name, n_values=args.n_values, log_base=args.log_base)
+    return _emit(replace(spec, **_overrides(args)), args.output)
 
 
 def cmd_sweep(args) -> int:
@@ -132,41 +135,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Age-of-information scheduling simulator and bound checker")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a single experiment config")
-    p_sim.add_argument("--config", required=True, help="flat key = value file")
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--horizon", type=int)
-    p_sim.add_argument("--replications", "--trials", type=int,
-                       dest="replications")
-    p_sim.add_argument("--output", help="CSV path (default from config/env)")
+    # The options simulate, preset and sweep share, each declared once.
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--seed", type=int)
+    run_opts.add_argument("--horizon", type=int)
+    run_opts.add_argument("--replications", type=int)
+    run_opts.add_argument("--output", help="CSV path (default from config/env)")
+    config_opt = argparse.ArgumentParser(add_help=False)
+    config_opt.add_argument("--config", required=True,
+                            help="flat key = value file")
+
+    p_sim = sub.add_parser("simulate", parents=[config_opt, run_opts],
+                           help="run a single experiment config")
     p_sim.add_argument("--trace", help="write a per-frame trace to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_pre = sub.add_parser("preset", help="reproduce a benchmark scenario")
+    p_pre = sub.add_parser("preset", parents=[run_opts],
+                           help="reproduce a benchmark scenario")
     p_pre.add_argument("name", choices=PRESET_NAMES)
-    p_pre.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_pre.add_argument("--horizon", type=int)
-    p_pre.add_argument("--replications", type=int, default=1)
     p_pre.add_argument("--n-values", type=_comma_list(int, "integers"),
-                       help="comma list of network sizes")
+                       help="comma list of network sizes (N sweeps only)")
     p_pre.add_argument("--natural-log", dest="log_base", action="store_const",
                        const=math.e, default=10.0,
                        help="use natural logs in the parameter formulas "
                             "(base-10 is the default)")
-    p_pre.add_argument("--output")
     p_pre.set_defaults(func=cmd_preset)
 
-    p_swp = sub.add_parser("sweep", help="sweep one parameter over a range")
-    p_swp.add_argument("--config", required=True)
+    p_swp = sub.add_parser("sweep", parents=[config_opt, run_opts],
+                           help="sweep one parameter over a range")
     p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
     p_swp.add_argument("--values", required=True,
                        type=_comma_list(float, "numbers"),
                        help="comma list of values")
-    p_swp.add_argument("--seed", type=int)
-    p_swp.add_argument("--horizon", type=int)
-    p_swp.add_argument("--replications", "--trials", type=int,
-                       dest="replications")
-    p_swp.add_argument("--output")
     p_swp.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run an analytical check")

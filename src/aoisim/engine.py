@@ -226,13 +226,39 @@ def _clock_ages(age: np.ndarray, integral: np.ndarray, durations: np.ndarray,
 # Full runs
 # ---------------------------------------------------------------------------
 
+def check_run_inputs(kind, horizon_unit: str, markov_q, n_sources: int):
+    """The rules a run's inputs keep, stated once: run() checks them, and
+    ExperimentSpec checks them per listed policy when it is made.
+
+    kind is a PolicyKind, horizon_unit is "frames" or "deliveries", an
+    AoII kind needs markov_q, and markov_q is one flip probability in
+    [0, 1] or one per source.  Returns markov_q as an array, or None.
+    """
+    if not isinstance(kind, PolicyKind):
+        raise ParameterError(f"unknown policy kind {kind!r}")
+    if horizon_unit not in ("frames", "deliveries"):
+        raise ParameterError(f"unknown horizon_unit {horizon_unit!r}")
+    if markov_q is None:
+        if RULES[kind].signal == "aoii":
+            raise ParameterError(f"{kind.value} needs Markov sources "
+                                 "(markov_q) to compute mismatch ages")
+        return None
+    q = np.atleast_1d(np.asarray(markov_q, dtype=float))
+    if q.shape not in ((1,), (n_sources,)):
+        raise ParameterError(f"need one transition probability or "
+                             f"{n_sources}, got shape {q.shape}")
+    if not np.all((q >= 0) & (q <= 1)):
+        raise ParameterError(f"transition probabilities must be in [0,1], got {q}")
+    return q
+
+
 class _RunState:
     """Everything one run carries from block to block: its streams and
     draw blocks, each source's last delivery and frame-age sum, the clock
     ages and their integral, the Markov states and estimates, and the
     counters.  Built once per run; step() moves it one block on."""
 
-    def __init__(self, config, kind, params, prefix, markov_q) -> None:
+    def __init__(self, config, kind, params, prefix, q) -> None:
         decide, signal, discrete = self.rule = RULES[kind]
         n = config.n_sources
         self.w = config.weights_array
@@ -245,15 +271,8 @@ class _RunState:
         if decide == "contention":
             self.log_e = np.empty((_BLOCK, n))
             self.log_rate_table = self.age_table * params.ln_alpha
-        self.markov = markov_q is not None
+        self.markov = q is not None
         if self.markov:
-            q = np.atleast_1d(np.asarray(markov_q, dtype=float))
-            if q.shape not in ((1,), (n,)):
-                raise ParameterError(f"need one transition probability or "
-                                     f"{n}, got shape {q.shape}")
-            if not np.all((q >= 0) & (q <= 1)):
-                raise ParameterError(
-                    f"transition probabilities must be in [0,1], got {q}")
             self.states = _trajectory(q, np.zeros(n), engine_stream)
             # Every source starts in state 0, matched by its estimate, so the
             # length of that first run never shows.
@@ -444,28 +463,22 @@ def run(config: NetworkConfig, kind: PolicyKind,
     receives one line per frame, whose min_timer is the winner's timer:
     its minislot on the grid, Z in the idealized model.
     """
-    if horizon_unit not in ("frames", "deliveries"):
-        raise ParameterError(f"unknown horizon_unit {horizon_unit!r}")
+    q = check_run_inputs(kind, horizon_unit, markov_q, config.n_sources)
     if horizon_unit == "frames" and max_frames is not None:
         raise ParameterError("max_frames caps a deliveries horizon; "
                              "a frames horizon is its own cap")
     if max_frames is not None:
         max_frames = whole_number("max_frames", max_frames, least=1)
-    if kind not in RULES:
-        raise ParameterError(f"unknown policy kind {kind!r}")
-    decide, signal, discrete = RULES[kind]
+    decide, _, discrete = RULES[kind]
     if decide == "contention" and params is None:
         raise ParameterError(f"{kind.value} needs backoff parameters")
-    if signal == "aoii" and markov_q is None:
-        raise ParameterError(f"{kind.value} needs Markov sources "
-                             "(markov_q) to compute mismatch ages")
 
     # A frames horizon ends at its frame count, which no delivery count
     # can pass first; a deliveries horizon ends at its target or the cap.
     target = config.horizon_frames
     cap = (target if horizon_unit == "frames"
            else 100 * target if max_frames is None else max_frames)
-    state = _RunState(config, kind, params, prefix, markov_q)
+    state = _RunState(config, kind, params, prefix, q)
     while state.frames < cap and state.deliveries < target:
         state.step(min(_FRAMES, cap - state.frames),
                    target - state.deliveries, trace)

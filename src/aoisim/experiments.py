@@ -27,7 +27,7 @@ from .core import (
     recommended_defaults,
     whole_number,
 )
-from .engine import run
+from .engine import check_run_inputs, run
 from .policies import RULES, PolicyKind
 
 DESK_SCALE_N = (2, 5, 10, 20, 30)
@@ -61,12 +61,12 @@ class ExperimentSpec:
     base_seed: int = DEFAULT_SEED
     replications: int = 1
     markov_q: float | None = None
-    # None fields fall back to the benchmark formulas for the point's N.
+    # None fields fall back to the benchmark formulas for the point's N:
+    # the AoII variant's when markov_q is set, the AoI formulas otherwise.
     alpha: float | None = None
     beta: float | None = None
     b_offset: int | None = None
     minislots_per_update: int = 10_000
-    aoii_defaults: bool = False
     log_base: float = 10.0
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
@@ -75,12 +75,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.policies:
             raise ParameterError("at least one policy is required")
-        for kind in self.policies:
-            if not isinstance(kind, PolicyKind):
-                raise ParameterError(f"unknown policy kind {kind!r}")
-            if RULES[kind].signal == "aoii" and self.markov_q is None:
-                raise ParameterError(f"{kind.value} needs Markov sources "
-                                     "(markov_q) to compute mismatch ages")
         if (self.sweep_param is None) != (self.sweep_values is None):
             raise ParameterError("sweep_param and sweep_values go together")
         if self.sweep_param is not None:
@@ -92,13 +86,14 @@ class ExperimentSpec:
             if _SWEEP_TYPES[self.sweep_param] is int:
                 for v in self.sweep_values:
                     whole_number(f"{self.sweep_param} sweep value", v)
-        if self.horizon_unit not in ("frames", "deliveries"):
-            raise ParameterError(f"unknown horizon_unit {self.horizon_unit!r}")
         # whole floats are stored as ints
         for name, least in (("n_sources", None), ("horizon", 1),
                             ("replications", 1)):
             object.__setattr__(self, name,
                                whole_number(name, getattr(self, name), least))
+        for kind in self.policies:
+            check_run_inputs(kind, self.horizon_unit, self.markov_q,
+                             self.n_sources)
         if isinstance(self.weights, str) and self.weights not in _WEIGHT_NAMES:
             raise ParameterError(f"unknown weights {self.weights!r}; choose "
                                  f"one of {_WEIGHT_NAMES} or a tuple")
@@ -124,7 +119,9 @@ def resolve_points(spec: ExperimentSpec) -> list[SweepPoint]:
     swept value; a sweep-less spec yields a single point.
 
     The swept value overrides the spec's value, which overrides the
-    recommended formulas for the point's N.
+    recommended formulas for the point's N: the AoII variant's when the
+    spec has Markov sources (markov_q), since they drive mismatch-age
+    contention, and the AoI formulas otherwise.
     """
     values = [None] if spec.sweep_param is None else sorted(spec.sweep_values)
     points = []
@@ -135,7 +132,7 @@ def resolve_points(spec: ExperimentSpec) -> list[SweepPoint]:
             fixed[spec.sweep_param] = _SWEEP_TYPES[spec.sweep_param](value)
         n = fixed.pop("n_sources")
         weights = _build_weights(spec.weights, n)
-        base = recommended_defaults(n, weights, aoii=spec.aoii_defaults,
+        base = recommended_defaults(n, weights, aoii=spec.markov_q is not None,
                                     log_base=spec.log_base)
         params = replace(base, minislots_per_update=spec.minislots_per_update,
                          **{k: v for k, v in fixed.items() if v is not None})
@@ -164,8 +161,7 @@ _FIG6 = dict(policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
 _FIG7 = dict(policies=(PolicyKind.NEAR_REALISTIC_FRESH_CSMA,),
              horizon_unit="frames", sweep_param="b_offset",
              sweep_values=(0, 5, 10, 50, 100, 250, 260, 300))
-_FIG10 = dict(policies=_AOII_POLICIES, markov_q=0.05, aoii_defaults=True,
-              sweep_param="n_sources")
+_FIG10 = dict(policies=_AOII_POLICIES, markov_q=0.05, sweep_param="n_sources")
 _PRESETS = {
     "fig3_symmetric": dict(policies=_AOI_POLICIES, sweep_param="n_sources"),
     "fig4_sqrt_weights": dict(policies=_AOI_POLICIES, weights="sqrt",
@@ -195,10 +191,14 @@ def preset(name: str, *, seed: int = DEFAULT_SEED, horizon: int | None = None,
     that measure collision or overhead rates run a fixed number of
     frames (a non-delivering configuration would never finish a
     delivery-based horizon); the AoI/AoII scenarios run to a fixed
-    number of delivered updates.
+    number of delivered updates.  n_values sets the sizes of an N sweep;
+    a preset that sweeps another parameter runs at N = 10 and refuses it.
     """
     if name not in _PRESETS:
         raise ParameterError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
+    if n_values is not None and "sweep_values" in _PRESETS[name]:
+        raise ParameterError(f"{name} sweeps {_PRESETS[name]['sweep_param']} "
+                             "at N = 10; n_values applies only to N sweeps")
     n_sweep = tuple(float(v) for v in (DESK_SCALE_N if n_values is None
                                        else n_values))
     return ExperimentSpec(scenario=name, n_sources=10, base_seed=seed,

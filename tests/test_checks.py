@@ -185,6 +185,24 @@ def test_log_timers_do_not_depend_on_the_worker_count(monkeypatch, workers,
         sys.setswitchinterval(switch)
 
 
+def test_distinct_timer_bound_margin_is_the_least_monte_carlo_slack():
+    # saturated cells hold B-monotonicity steps of exactly 0, whose
+    # margin 1e-15 once hid every slack; while the steps pass, the margin
+    # is the least slack, recomputed here from the reference counts
+    samples = 100_000
+    bounds = [aoisim.distinct_timer_bound(
+                  lri, lrj, BackoffParams(alpha=2.0, beta=beta, b_offset=b))
+              for lri in (0.0, 10.0, 20.0) for lrj in (0.0, 10.0, 20.0)
+              for beta in (1.1, 1.5, 2.0) for b in (0, 10, 250)]
+    slacks = []
+    for distinct, bound in zip(_reference_statistics("thm3", None), bounds):
+        p = (distinct + 1) / (samples + 2)
+        stderr = math.sqrt(p * (1.0 - p) / samples)
+        slacks.append(distinct / samples - (bound - 3.0 * stderr))
+    result = check_distinct_timer_bound()
+    assert result.ok and result.worst_margin == min(slacks) > 1e-15
+
+
 def test_sampled_checks_plan_their_states_in_blocks(monkeypatch):
     # at most _BLOCK states are planned at a time; the scalar cache must
     # refill across blocks where the rows drawn in turn leave it

@@ -153,6 +153,26 @@ def test_preset_malformed_n_values_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_preset_n_values_without_an_n_sweep_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["preset", "fig6_beta_collisions", "--n-values", "5",
+                 "--output", str(out)]) == 2
+    assert "n_values applies only to N sweeps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep", "--param", "beta", "--values", "1.2"]])
+def test_trials_is_not_an_alias_of_replications(command, tmp_path):
+    # --trials means random states, under verify only
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "out.csv"
+    assert _exit_code(command + ["--config", str(cfg), "--trials", "3",
+                                 "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_malformed_values_exits_2(tmp_path):
     cfg = tmp_path / "base.cfg"
     cfg.write_text(TINY_CONFIG)

@@ -534,6 +534,14 @@ def test_run_bad_horizon_unit():
         run(config, PolicyKind.MAX_WEIGHT, horizon_unit="hours")
 
 
+@pytest.mark.parametrize("kind", ["max_weight", None, []])
+def test_run_rejects_a_kind_that_is_not_a_policy_kind(kind):
+    # an unhashable value too, which a lookup in RULES would not name
+    config = NetworkConfig(2, (1.0, 1.0), 10, 2)
+    with pytest.raises(ParameterError, match="unknown policy kind"):
+        run(config, kind)
+
+
 def test_run_markov_aoii_zero_when_sources_never_move():
     config = NetworkConfig(3, tuple([1.0] * 3), 2000, 21)
     result = run(config, PolicyKind.MAX_WEIGHT, markov_q=0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +63,55 @@ def test_preset_unknown_name():
 
 
 def test_preset_empty_n_values_is_a_config_error():
-    # an empty size list is not the default sizes
+    # an empty size list is not the default sizes, and a preset that
+    # sweeps another parameter takes no size list at all
     with pytest.raises(ParameterError, match="sweep_values is empty"):
         preset("fig3_symmetric", n_values=())
-    assert preset("fig6_beta_collisions", n_values=()).sweep_param == "beta"
+    with pytest.raises(ParameterError, match="only to N sweeps"):
+        preset("fig6_beta_collisions", n_values=())
+
+
+@pytest.mark.parametrize("name", ["fig5_alpha_sweep", "fig6_beta_collisions",
+                                  "fig7_B_collisions", "fig8_beta_overhead",
+                                  "fig9_B_overhead"])
+def test_preset_without_an_n_sweep_refuses_n_values(name):
+    # these presets run N = 10 at every point, so sizes given to them
+    # could only be dropped
+    with pytest.raises(ParameterError, match=f"{name} sweeps .* at N = 10"):
+        preset(name, n_values=(5, 20))
+    assert {p.config.n_sources for p in resolve_points(preset(name))} == {10}
+
+
+def _fig10_params(spec):
+    return [(p.sweep_value, p.params) for p in resolve_points(spec)]
+
+
+def test_markov_sources_take_the_aoii_formulas_in_a_config():
+    # a config file cannot name the formulas: Markov sources select the
+    # AoII variant, so fig10's policies and q resolve fig10's parameters
+    text = ("policies = max_weight, idealized_fresh_csma_aoii, "
+            "near_realistic_fresh_csma_aoii\nn_sources = 10\nmarkov_q = 0.05\n"
+            "sweep_param = n_sources\nsweep_values = 2, 5, 10, 20, 30")
+    assert _fig10_params(parse_config(text)) == _fig10_params(
+        preset("fig10_aoii"))
+    point = resolve_points(parse_config(text))[2]
+    assert (point.params.alpha, point.params.b_offset) == (2.1, 252)
+    # explicit values still override the formulas
+    spec = parse_config(text + "\nalpha = 1.5\nb_offset = 7")
+    assert {(p.params.alpha, p.params.b_offset)
+            for p in resolve_points(spec)} == {(1.5, 7)}
+
+
+def test_one_policy_sub_spec_resolves_the_full_fig10_params():
+    # the formulas follow the spec's Markov sources, not its policy list,
+    # so a one-policy sub-spec (as the benchmark splits fig10) resolves
+    # the full spec's parameters, max-weight's included
+    full = preset("fig10_aoii")
+    for value in full.sweep_values:
+        for kind in full.policies:
+            sub = replace(full, sweep_values=(value,), policies=(kind,))
+            assert _fig10_params(sub) == [
+                (v, params) for v, params in _fig10_params(full) if v == value]
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +149,15 @@ def test_spec_rejects_empty_policies():
                                      dict(policies=(PolicyKind.MAX_WEIGHT,
                                                     PolicyKind.MAX_AOII)),
                                      dict(policies=("max_weight",)),
-                                     dict(policies=(None,))])
+                                     dict(policies=(None,)),
+                                     dict(policies=([],)),
+                                     dict(markov_q=1.5), dict(markov_q=-0.1),
+                                     dict(markov_q=math.nan)])
 def test_spec_mistakes_raise_one_error_type(monkeypatch, mistake):
     # a bad parameter, a bad horizon, a wrong weight count, a fractional
     # count, an unknown weights name, an AoII policy without Markov
-    # sources and a policy that is not a PolicyKind are all
+    # sources, a policy that is not a PolicyKind (an unhashable one
+    # too) and a flip probability outside [0, 1] are all
     # ParameterError, found by the spec or its points before any run
     # starts
     def no_run(*args, **kwargs):

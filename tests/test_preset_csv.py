@@ -10,7 +10,9 @@ fig6_beta_collisions and fig7_B_collisions keep their N = 10 sweeps at
 Each spec case pins the sha256 of the repr of a preset's ExperimentSpec
 and of its resolved sweep points, for every preset name at the default
 network sizes, at N = 2, 7 and with natural logs.  These cover the
-presets no CSV pin runs, fig5_alpha_sweep among them.
+presets no CSV pin runs, fig5_alpha_sweep among them.  A preset that
+sweeps another parameter than N refuses N = 2, 7; its case pins the
+refusal's message instead.
 
 Regenerate the pins with `PYTHONPATH=src python tests/test_preset_csv.py`
 only when a change to results is intended, and record why in CHANGES.md.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from aoisim import preset, run_experiment
+from aoisim import ParameterError, preset, run_experiment
 from aoisim.experiments import PRESET_NAMES, resolve_points, rows_to_csv
 
 PINS = Path(__file__).with_name("preset_csv_pins.json")
@@ -61,7 +63,10 @@ def _csv_sha256(name: str) -> str:
 
 
 def _spec_sha256(name: str, variant: str) -> str:
-    spec = preset(name, **SPEC_VARIANTS[variant])
+    try:
+        spec = preset(name, **SPEC_VARIANTS[variant])
+    except ParameterError as exc:
+        return f"ParameterError: {exc}"
     return _sha256(repr(spec) + "\n" + repr(resolve_points(spec)))
 
 
