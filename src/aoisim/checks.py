@@ -29,10 +29,10 @@ from .analysis import (
 from .core import (
     DEFAULT_SEED,
     BackoffParams,
-    ParameterError,
     RngStream,
     drift_alpha_threshold,
     match_alpha_threshold,
+    whole_number,
 )
 from .policies import (
     aoi_exponents,
@@ -60,16 +60,15 @@ class CheckResult:
                 f"over {self.trials} trials ({self.detail})")
 
 
-def _state_stream(seed: int, least_n: int = 2, **counts: int) -> RngStream:
-    """The stream random states are drawn from, once every trial and
-    sample count is at least 1 and the source count n at least least_n
-    (one source has no argmax set to match and no drift to compare, but
-    its idle time is still bounded)."""
-    for name, count in counts.items():
-        least = least_n if name == "n" else 1
-        if count < least:
-            raise ParameterError(f"{name} must be >= {least}, got {count}")
-    return RngStream(seed, (2,))
+def _state_stream(seed: int, least_n: int = 2, **counts: int) -> tuple:
+    """The stream random states are drawn from, then each count as an
+    int, once every trial and sample count is a whole number at least 1
+    and the source count n one at least least_n (one source has no
+    argmax set to match and no drift to compare, but its idle time is
+    still bounded).  Whole floats run as ints."""
+    counts = [whole_number(name, count, least_n if name == "n" else 1)
+              for name, count in counts.items()]
+    return (RngStream(seed, (2,)), *counts)
 
 
 def _blocks(trials: int) -> list[int]:
@@ -102,45 +101,38 @@ class _State(NamedTuple):
 
 
 class _Scratch:
-    """One worker's generator and the rows it reuses from state to state.
-    The winner index takes the smallest unsigned dtype that holds the
-    index of the last of most_rows rows."""
+    """The rows one worker reuses from state to state.  The winner index
+    takes the smallest unsigned dtype that holds the index of the last
+    of most_rows rows."""
 
     def __init__(self, samples: int, most_rows: int):
-        self.gen = np.random.Generator(np.random.PCG64(0))
         self.row = np.empty(samples)
         self.low = np.empty(samples)
         self.winner = np.empty(samples, np.min_scalar_type(most_rows - 1))
         self.less = np.empty_like(self.winner)
 
 
-def _reserved_rows(gen: np.random.Generator, log_rate: list[float],
+def _reserved_rows(stream: RngStream, log_rate: list[float],
                    row: np.ndarray) -> Iterator[np.ndarray]:
     """Each source's ln-timers ln E - log_rate_i in turn, written over
-    row, with E = -log1p(-u) mapped in place through numpy's log1p, from
-    gen placed at the state's reserved draws.  A zero uniform gives
-    E = 0, an ln-timer of -inf, as the engine's timers do."""
+    row, from the stream that draws the state's reserved draws, as the
+    engine draws its timers (RngStream.log_exponentials)."""
     for lr in log_rate:
-        gen.random(out=row)
-        np.negative(row, out=row)
-        np.log1p(row, out=row)
-        np.negative(row, out=row)
-        with np.errstate(divide="ignore"):
-            np.log(row, out=row)
+        stream.log_exponentials(row)
         row -= lr
         yield row
 
 
 def _run(block: list, samples: int) -> list:
-    """The statistic of each (state, reserved start) of block, in block
+    """The statistic of each (state, reserved stream) of block, in block
     order.
 
     The usable cores pull whole states from one shared queue, the states
     with the most rows first; the calling thread is one of them, and a
     thread pool opened for this block supplies the rest.  Each worker
-    places its own generator at a state's start and draws and reduces
-    the state in its own scratch rows.  An error stops every worker from
-    taking another state, and is raised once all of them have stopped.
+    draws a state from the stream reserved for it and reduces it in its
+    own scratch rows.  An error stops every worker from taking another
+    state, and is raised once all of them have stopped.
     Leaving the pool waits for its threads, so none outlives the block.
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -159,11 +151,10 @@ def _run(block: list, samples: int) -> list:
                 k = next(order, None)
             if k is None:
                 return
-            state, start = block[k]
-            scratch.gen.bit_generator.state = start
+            state, reserved = block[k]
             try:
                 results[k] = state.reduce(
-                    _reserved_rows(scratch.gen, state.log_rate, scratch.row),
+                    _reserved_rows(reserved, state.log_rate, scratch.row),
                     scratch)
             except BaseException:
                 failed.set()
@@ -272,7 +263,7 @@ def check_max_weight_match(trials: int = 10_000, n: int = 10,
                            seed: int = DEFAULT_SEED) -> CheckResult:
     """Closed-form contention mass on the max-weight argmax set is at
     least 1 - delta at every random integer-age, integer-weight state."""
-    stream = _state_stream(seed, trials=trials, n=n)
+    stream, trials, n = _state_stream(seed, trials=trials, n=n)
 
     def states(rows: int) -> np.ndarray:
         ages = 1 + stream.integers(20, (rows, n))
@@ -285,7 +276,7 @@ def check_max_aoii_match(trials: int = 10_000, n: int = 10,
                          delta: float = 0.1, alpha: float | None = None,
                          seed: int = DEFAULT_SEED) -> CheckResult:
     """Same guarantee with integer mismatch ages as the exponents."""
-    stream = _state_stream(seed, trials=trials, n=n)
+    stream, trials, n = _state_stream(seed, trials=trials, n=n)
     return _match_check("max-mismatch-age match probability",
                         lambda rows: stream.integers(30, (rows, n)), trials, n,
                         delta, alpha)
@@ -314,7 +305,8 @@ def check_winner_distribution(trials: int = 20, samples: int = 100_000,
     """Empirical winner frequencies of the idealized contention match the
     closed-form distribution within 3 Monte Carlo standard errors."""
     worst = math.inf
-    stream = _state_stream(seed, trials=trials, samples=samples)
+    stream, trials, samples = _state_stream(seed, trials=trials,
+                                            samples=samples)
     for state, wins in _sample(stream, _winner_states(stream, trials),
                                samples):
         probs = state.info
@@ -335,7 +327,7 @@ def check_drift_dominance(trials: int = 10_000, n: int = 10,
                           seed: int = DEFAULT_SEED) -> CheckResult:
     """Contention drift never exceeds the optimal stationary randomized
     drift at random integer states once alpha clears its threshold."""
-    stream = _state_stream(seed, trials=trials, n=n)
+    stream, trials, n = _state_stream(seed, trials=trials, n=n)
     worst = math.inf
     for rows in _blocks(trials):
         weights = 1 + stream.integers(5, (rows, n))
@@ -385,7 +377,7 @@ def check_distinct_timer_bound(samples: int = 100_000,
     steps of exactly 0, which would hide every slack."""
     slack = least_step = math.inf
     cells = 0
-    stream = _state_stream(seed, samples=samples)
+    stream, samples = _state_stream(seed, samples=samples)
     for state, distinct in _sample(stream, _distinct_states(), samples):
         bound, step = state.info
         # Laplace-smoothed, so the error cannot vanish when every pair
@@ -429,8 +421,8 @@ def check_idle_time_bound(trials: int = 10, samples: int = 100_000,
     """Sampled mean winning timer stays below the closed-form idle-time
     bound at random states."""
     worst = math.inf
-    stream = _state_stream(seed, least_n=1, trials=trials, samples=samples,
-                           n=n)
+    stream, trials, samples, n = _state_stream(
+        seed, least_n=1, trials=trials, samples=samples, n=n)
     for state, total in _sample(stream, _idle_states(stream, trials, n),
                                 samples):
         worst = min(worst, state.info - total / samples)

@@ -47,13 +47,13 @@ class RngStream:
     _BUFFER = 4096
 
     def __init__(self, seed: int, path: tuple[int, ...] = ()):
-        if not 0 <= seed <= _SEED_MASK:
-            raise ParameterError(f"seed must fit in 64 bits, got {seed}")
-        if any(p < 0 for p in path):
-            raise ParameterError(f"substream ids must be non-negative, got {path}")
-        self.seed = seed
-        self.path = tuple(int(p) for p in path)
-        ss = np.random.SeedSequence((seed, *self.path))
+        # whole floats are stored as ints, as NetworkConfig stores them
+        self.seed = whole_number("seed", seed)
+        if not 0 <= self.seed <= _SEED_MASK:
+            raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
+        self.path = tuple(whole_number("substream id", p, least=0)
+                          for p in path)
+        ss = np.random.SeedSequence((self.seed, *self.path))
         self._gen = np.random.Generator(np.random.PCG64(ss))
         self._buf = np.empty(0)
         self._pos = 0
@@ -84,37 +84,41 @@ class RngStream:
         _check_counts("uniforms", size)
         return self._gen.random(size)
 
-    def jump_ahead(self, count: int) -> dict:
-        """Reserve this stream's next count bulk draws: return the state
-        of its bit generator where they begin, and move the stream past
-        them.
+    def jump_ahead(self, count: int) -> "RngStream":
+        """Reserve this stream's next count bulk draws: return a twin of
+        this stream whose bulk draws begin with them, and move this
+        stream past them.
 
-        A generator given that state (bit_generator.state = ...) draws
-        what uniforms(count) would have returned: the draws count from
-        the stream's generator, not from uniform()'s cache, as every bulk
-        draw does.  So threads can draw reserved ranges of one sequence
-        with the bits sequential calls would give.  PCG64 advances in
-        O(log count) steps (O'Neill's LCG jump-ahead).
+        The twin draws what uniforms(count) would have returned: the
+        draws count from the stream's generator, not from uniform()'s
+        cache, as every bulk draw does.  So threads can draw reserved
+        ranges of one sequence with the bits sequential calls would give.
+        PCG64 advances in O(log count) steps (O'Neill's LCG jump-ahead).
         """
         _check_counts("jump_ahead", count)
-        start = self._gen.bit_generator.state
+        twin = RngStream(self.seed, self.path)
+        twin._gen.bit_generator.state = self._gen.bit_generator.state
         self._gen.bit_generator.advance(count)
-        return start
+        return twin
 
-    def exponential_sequence(self, n: int) -> np.ndarray:
-        """The next n terms of this stream's exp(1) sequence.
+    def log_exponentials(self, out: np.ndarray) -> np.ndarray:
+        """ln E for this stream's next len(out) bulk uniforms u, written
+        over out, a contiguous float64 row, and returned: the one exp(1)
+        draw, of every engine timer and every sampled check's row.
 
-        Term k is -log1p(-u) of the stream's k-th uniform, so the sequence
-        does not depend on how it is split into calls, and n terms take n
-        uniforms.  numpy's inverse-CDF sampler takes the same uniforms
-        random() would and calls the C library's log1p per term, as
-        math.log1p does: numpy's vector log1p can differ from it in the
-        last bit, which would move float ties between timers.  A zero
-        uniform gives a term of 0.0, whose ln is -inf: on the 2**-53 grid
-        of uniforms it stands for the exp(1) mass in [0, 2**-53).
+        E = -log1p(-u), the exp(1) inverse CDF, through numpy's vector
+        log1p, which maps each uniform on its own: the terms do not
+        depend on how a sequence is split into calls, and n terms take n
+        uniforms.  A zero uniform gives E = 0 and ln E = -inf, without a
+        warning: on the 2**-53 grid of uniforms it stands for the exp(1)
+        mass in [0, 2**-53).
         """
-        _check_counts("exponential_sequence", n)
-        return self._gen.standard_exponential(n, method="inv")
+        self._gen.random(out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        with np.errstate(divide="ignore"):
+            return np.log(out, out=out)
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""

@@ -78,7 +78,7 @@ from .policies import (
 )
 
 # Frames of timer and Markov draws fetched per refill, and frames per
-# kernel block, a row slice of a refill (so _FRAMES divides _BLOCK);
+# kernel block, a frame slice of a refill (so _FRAMES divides _BLOCK);
 # neither changes a draw.
 _BLOCK = 1024
 _FRAMES = 64
@@ -269,7 +269,8 @@ class _RunState:
         # source's column for the rest of a block.
         self.age_table = aoi_exponents(np.arange(_FRAMES)[:, None], self.w)
         if decide == "contention":
-            self.log_e = np.empty((_BLOCK, n))
+            # source-major, so each source's draws fill one contiguous row
+            self.log_e = np.empty((n, _BLOCK))
             self.log_rate_table = self.age_table * params.ln_alpha
         self.markov = q is not None
         if self.markov:
@@ -304,14 +305,12 @@ class _RunState:
         offset = first % _BLOCK
         if offset == 0:
             # Refill the draw blocks, each in place: ln E takes one exp(1)
-            # draw per source and frame, with ln applied once per block.
-            # A zero draw (a zero uniform) is ln E = -inf, a timer that
-            # wins its frame, or minislot 0 on the grid.
+            # draw per source and frame, a source's row at a time.  A zero
+            # draw (a zero uniform) is ln E = -inf, a timer that wins its
+            # frame, or minislot 0 on the grid.
             if contention:
-                for i, s in enumerate(self.sources):
-                    self.log_e[:, i] = s.exponential_sequence(_BLOCK)
-                with np.errstate(divide="ignore"):
-                    np.log(self.log_e, out=self.log_e)
+                for s, row in zip(self.sources, self.log_e):
+                    s.log_exponentials(row)
             if self.markov:
                 self.x_block = next(self.states)
             if decide == "randomized":
@@ -333,7 +332,7 @@ class _RunState:
         layers = exponents(signal, age, self.w,
                            mismatch if signal == "aoii" else None)
         if contention:
-            log_e = self.log_e[offset:offset + _FRAMES]
+            log_e = self.log_e[:, offset:offset + _FRAMES].T
             log_rate_table = self.log_rate_table
             if signal == "aoii":
                 layers = layers[:, :_FRAMES]

@@ -44,6 +44,7 @@ T_REFERENCE = "tests/test_engine.py::test_run_equals_reference_frame_loop"
 T_COLLISIONS = ("tests/test_engine.py::"
                 "test_collision_runs_equal_reference_frame_loop")
 T_CONFIG = "tests/test_core.py::test_network_config_validation"
+T_CORE_STREAM = "tests/test_core.py::test_stream_rejects_bad_seed_and_path"
 T_SPEC_MISTAKES = ("tests/test_experiments.py::"
                    "test_spec_mistakes_raise_one_error_type")
 T_SPEC_WHOLE = ("tests/test_experiments.py::"
@@ -56,6 +57,9 @@ T_ZERO_CHECKS = ("tests/test_checks.py::"
                  "test_log_timers_take_a_zero_uniform_as_the_sequential_rows_do")
 T_ZERO_ENGINE = ("tests/test_engine.py::"
                  "test_a_zero_uniform_is_a_timer_that_wins_its_frame")
+T_ZERO_CORE = ("tests/test_core.py::"
+               "test_log_exponentials_take_a_zero_uniform_as_minus_infinity")
+T_COUNTS = "tests/test_checks.py::test_check_counts_are_whole_numbers"
 T_FAILING = ("tests/test_checks.py::"
              "test_a_failing_reduction_surfaces_after_every_worker_has_stopped")
 T_IMPORT = ("tests/test_checks.py::"
@@ -189,26 +193,36 @@ MUTANTS = (
            "np.divide(log_z, params.ln_beta)",
            ("tests/test_policies.py::"
             "test_grid_map_in_place_equals_the_grid_rule",)),
-    # the zero-uniform rule: E = 0, ln E = -inf, nothing drawn again
-    Mutant("core-exponential-sequence-drops-zeros", CORE,
-           'return self._gen.standard_exponential(n, method="inv")',
-           'e = self._gen.standard_exponential(n, method="inv")\n'
-           "        return e[e != 0.0]",
-           ("tests/test_core.py::"
-            "test_exponential_sequence_maps_a_zero_uniform_to_zero",
-            T_ZERO_ENGINE)),
-    Mutant("engine-log-e-warns-at-zero", ENGINE,
+    # the one exp(1) draw and its zero-uniform rule: E = 0, ln E = -inf,
+    # nothing drawn again
+    Mutant("core-log-exponentials-redraws-zeros", CORE,
+           "self._gen.random(out=out)\n",
+           "self._gen.random(out=out)\n"
+           "        out[out == 0.0] = self._gen.random()\n",
+           (T_ZERO_CORE, T_ZERO_ENGINE)),
+    Mutant("core-log-e-warns-at-zero", CORE,
            'with np.errstate(divide="ignore"):\n'
-           "                    np.log(self.log_e, out=self.log_e)",
+           "            return np.log(out, out=out)",
            "if True:\n"
-           "                    np.log(self.log_e, out=self.log_e)",
-           (T_ZERO_ENGINE,)),
-    Mutant("checks-log-e-warns-at-zero", CHECKS,
-           'with np.errstate(divide="ignore"):\n'
-           "            np.log(row, out=row)",
-           "if True:\n"
-           "            np.log(row, out=row)",
-           (T_ZERO_CHECKS,)),
+           "            return np.log(out, out=out)",
+           (T_ZERO_CORE, T_ZERO_ENGINE, T_ZERO_CHECKS)),
+    # the engine's refill drawn by the C library's log1p per draw, the
+    # inverse-CDF path it once took: one ulp off on about 7% of draws
+    Mutant("engine-refill-inverse-cdf", ENGINE,
+           "s.log_exponentials(row)",
+           'row[:] = np.log([-__import__("math").log1p(-u)\n'
+           "                        for u in s.uniforms(_BLOCK)])",
+           ("tests/test_engine.py::"
+            "test_timer_block_holds_the_bits_the_checks_draw",)),
+    Mutant("core-stream-ids-truncated", CORE,
+           'whole_number("substream id", p, least=0)', "int(p)",
+           (T_CORE_STREAM, "tests/test_engine.py::"
+            "test_run_rejects_a_prefix_that_is_not_whole_stream_ids")),
+    Mutant("checks-counts-not-whole", CHECKS,
+           'whole_number(name, count, least_n if name == "n" else 1)',
+           "count",
+           (T_COUNTS, "tests/test_checks.py::"
+            "test_check_counts_run_whole_floats_as_ints")),
     # sampled checks
     Mutant("checks-pool-error-dropped", CHECKS,
            "job.result()  # raises", "pass  # raises", (T_FAILING,)),
@@ -244,14 +258,15 @@ MUTANTS = (
     # The last state of each block drawn one draw late: the pins see a
     # shifted state only where it holds its check's worst margin, which
     # the last states do in no pinned case (the first state of thm4 does,
-    # at seed 3).  The reference comparison in test_checks catches every
-    # shift: a known gap of the pins alone.
+    # at seed 3), but the reference comparison in test_checks catches
+    # every shift.
     Mutant("checks-one-state-shifted-by-a-draw", CHECKS,
-           "scratch.gen.bit_generator.state = start\n",
-           "scratch.gen.bit_generator.state = start\n"
+           "state, reserved = block[k]\n",
+           "state, reserved = block[k]\n"
            "            if k == len(block) - 1:\n"
-           "                scratch.gen.bit_generator.advance(1)\n",
-           ("tests/test_check_pins.py",), survives=True),
+           "                reserved.uniforms(1)\n",
+           ("tests/test_check_pins.py", "tests/test_checks.py::"
+            "test_log_timers_do_not_depend_on_the_worker_count")),
     # the benchmark imports this name
     Mutant("experiments-rows-to-csv-renamed", EXPERIMENTS,
            "def rows_to_csv(rows: list[dict]) -> str:",

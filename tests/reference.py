@@ -100,14 +100,12 @@ class MarkovNetState:
 
 
 def _timer_rows(sources):
-    """ln E per frame from (_BLOCK, n) blocks, ln taken per block."""
-    log_e = np.empty((_BLOCK, len(sources)))
+    """ln E per frame from _BLOCK draws per source at a time."""
+    log_e = np.empty((len(sources), _BLOCK))
     while True:
-        for i, s in enumerate(sources):
-            log_e[:, i] = s.exponential_sequence(_BLOCK)
-        with np.errstate(divide="ignore"):  # a zero draw is ln E = -inf
-            np.log(log_e, out=log_e)
-        yield from log_e
+        for s, row in zip(sources, log_e):
+            s.log_exponentials(row)
+        yield from log_e.T
 
 
 def contention_keys(log_e: np.ndarray, log_rate, params: BackoffParams,

@@ -80,6 +80,28 @@ def test_checks_reject_fewer_than_two_sources(check):
             check(trials=10, n=n)
 
 
+@pytest.mark.parametrize("cid,counts,name", [
+    ("thm1", {"trials": 2.5}, "trials"),
+    ("lemma1", {"samples": 10.5}, "samples"),
+    ("lemma1", {"trials": None}, "trials"),
+    ("thm3", {"samples": "1000"}, "samples"),
+    ("thm4", {"n": 2.5}, "n"),
+    ("thm5", {"trials": "3"}, "trials"),
+])
+def test_check_counts_are_whole_numbers(cid, counts, name):
+    # each once raised a bare TypeError from deep inside the check
+    with pytest.raises(ParameterError, match=f"{name} must be a whole number"):
+        CHECKS[cid](**counts)
+
+
+def test_check_counts_run_whole_floats_as_ints():
+    result = CHECKS["thm1"](trials=10.0)
+    assert result == CHECKS["thm1"](trials=10) and type(result.trials) is int
+    assert CHECKS["thm3"](samples=1e3) == CHECKS["thm3"](samples=1000)
+    assert (CHECKS["thm4"](trials=2.0, samples=500.0, n=3.0)
+            == CHECKS["thm4"](trials=2, samples=500, n=3))
+
+
 def test_idle_time_bound_needs_one_source():
     # a lone source always wins, so its idle time is still bounded
     with pytest.raises(ParameterError, match="n must be >= 1"):
@@ -151,7 +173,7 @@ def _statistics(monkeypatch, cid, new_stream=None, **kwargs):
 
 @functools.lru_cache(maxsize=None)
 def _reference_statistics(cid, samples):
-    stream = checks._state_stream(checks.DEFAULT_SEED)
+    stream, = checks._state_stream(checks.DEFAULT_SEED)
     if samples is None:
         samples = inspect.signature(_SAMPLED[cid][0]).parameters[
             "samples"].default
@@ -246,7 +268,7 @@ def test_log_timers_take_a_zero_uniform_as_the_sequential_rows_do(
 
         def new_stream(seed, least_n=2, **counts):
             made.append(stream_with_zero_at(j))
-            return made[-1]
+            return (made[-1], *counts.values())
         kwargs = {} if cid == "thm3" else {"trials": states}
         if cid == "thm4":
             kwargs["n"] = rows

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,31 +22,15 @@ from aoisim import (
 )
 from aoisim.analysis import log_sum_exp
 from aoisim.policies import minislots
-from reference import AgeState, contention_keys, frame_step
+from reference import (AgeState, contention_keys, frame_step, log_timers,
+                       stream_with_zero_at)
 
 IDEAL = BackoffParams(alpha=2.0)
 
 
-class ScriptedGenerator:
-    """Stands in for a stream's generator where a test pins the uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, n):
-        out, self.values = self.values[:n], self.values[n:]
-        return np.array(out)
-
-    def standard_exponential(self, n, method):
-        # numpy's inverse-CDF method maps -log1p(-u) over the uniforms
-        assert method == "inv"
-        return np.array([-math.log1p(-u) for u in self.random(n)])
-
-
-def _scripted(values):
-    stream = RngStream(0)
-    stream._gen = ScriptedGenerator(values)
-    return stream
+def _log_e(seed, n):
+    """ln E of stream seed's next n exp(1) draws."""
+    return RngStream(seed).log_exponentials(np.empty(n))
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +41,9 @@ def test_stream_reproducible_across_instances():
     a = RngStream(123456789, (4, 2))
     b = RngStream(123456789, (4, 2))
     seq_a = ([a.uniform() for _ in range(10)] + list(a.uniforms(5))
-             + list(a.exponential_sequence(3)))
+             + list(a.log_exponentials(np.empty(3))))
     seq_b = ([b.uniform() for _ in range(10)] + list(b.uniforms(5))
-             + list(b.exponential_sequence(3)))
+             + list(b.log_exponentials(np.empty(3))))
     assert seq_a == seq_b
 
 
@@ -88,37 +73,51 @@ def test_stream_distinct_substreams_differ():
 
 
 def test_stream_rejects_bad_seed_and_path():
-    with pytest.raises(ParameterError):
-        RngStream(-1)
-    with pytest.raises(ParameterError):
-        RngStream(1 << 64)
-    with pytest.raises(ParameterError):
-        RngStream(3, (-2,))
+    # a fractional stream id once ran on the truncated id's streams, and a
+    # string id or a fractional seed raised a bare TypeError
+    for seed, path in [(-1, ()), (1 << 64, ()), (3, (-2,)), (1.5, ()),
+                       ("7", ()), (None, ()), (1, (1.5,)), (1, (0.9, 0)),
+                       (1, ("2",)), (1, (2, None))]:
+        with pytest.raises(ParameterError):
+            RngStream(seed, path)
+    # whole floats are stored as ints
+    whole = RngStream(np.float64(7.0), (3.0, 1))
+    assert (whole.seed, whole.path) == (7, (3, 1))
+    assert [type(v) for v in (whole.seed, *whole.path)] == [int, int, int]
+    assert (whole.uniforms(4).tobytes()
+            == RngStream(7, (3, 1)).uniforms(4).tobytes())
 
 
 def test_unit_exponential_positive():
-    assert np.all(RngStream(1).exponential_sequence(1000) > 0)
+    # E > 0, ln E finite, away from a zero uniform
+    assert np.all(np.isfinite(_log_e(1, 1000)))
 
 
-def test_exponential_sequence_is_the_scalar_inverse_cdf():
-    # each term is -log1p(-u) through math.log1p, whatever the split
-    u = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence((31, 5)))).random(50)
-    expected = [-math.log1p(-x) for x in u]
-    stream = RngStream(31, (5,))
-    got = np.concatenate([stream.exponential_sequence(k) for k in (1, 7, 42)])
-    assert got.tolist() == expected
+def test_log_exponentials_do_not_depend_on_the_split():
+    # term k maps the stream's k-th bulk uniform through numpy's vector
+    # log1p, as the checks' reference rows do, whatever the calls' sizes
+    stream, twin = RngStream(31, (5,)), RngStream(31, (5,))
+    got = np.concatenate([stream.log_exponentials(np.empty(k))
+                          for k in (1, 7, 42, 1024)])
+    whole = RngStream(31, (5,)).log_exponentials(np.empty(1074))
+    expected = log_timers(twin, [0.0], 1074)[0]
+    assert got.tobytes() == whole.tobytes() == expected.tobytes()
+    # n terms take exactly n uniforms
+    assert stream.uniforms(5).tobytes() == twin.uniforms(5).tobytes()
 
 
-def test_exponential_sequence_maps_a_zero_uniform_to_zero():
-    # a zero uniform is a term of 0.0, not redrawn, so n terms take
-    # exactly n uniforms
-    values = [0.5, 0.0, 0.25, 0.0, 0.0, 0.75, 0.125]
-    stream = _scripted(values)
-    got = list(stream.exponential_sequence(3)) + list(stream.exponential_sequence(2))
-    assert got == [-math.log1p(-x) for x in values[:5]]
-    assert got[1] == got[3] == got[4] == 0.0
-    assert stream._gen.values == [0.75, 0.125]
+def test_log_exponentials_take_a_zero_uniform_as_minus_infinity():
+    # a zero uniform is E = 0, ln E = -inf, not redrawn and with no
+    # RuntimeWarning, so n terms take exactly n uniforms
+    stream, twin = stream_with_zero_at(5), stream_with_zero_at(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.concatenate([stream.log_exponentials(np.empty(k))
+                              for k in (3, 4)])
+    u = twin.uniforms(7)
+    assert u[5] == 0.0 and got[5] == -math.inf
+    assert np.all(np.isfinite(np.delete(got, 5)))
+    assert stream.uniforms(9).tobytes() == twin.uniforms(9).tobytes()
 
 
 def test_jump_ahead_places_generators_in_the_bulk_sequence():
@@ -127,11 +126,9 @@ def test_jump_ahead_places_generators_in_the_bulk_sequence():
     # the uniforms the scalar cache took
     assert stream.uniform() == twin.uniform()
     ref = twin.uniforms(60)
-    starts = [stream.jump_ahead(count) for count in (7, 0, 43)]
-    gen = np.random.Generator(np.random.PCG64(0))
-    for start, k in zip(starts, (0, 7, 7)):
-        gen.bit_generator.state = start
-        assert gen.random(5).tobytes() == ref[k:k + 5].tobytes()
+    reserved = [stream.jump_ahead(count) for count in (7, 0, 43)]
+    for part, k in zip(reserved, (0, 7, 7)):
+        assert part.uniforms(5).tobytes() == ref[k:k + 5].tobytes()
     assert stream.uniforms(10).tobytes() == ref[50:].tobytes()
     # once the cache runs out it refills past the reserved draws
     for _ in range(4095):
@@ -144,8 +141,8 @@ def test_jump_ahead_places_generators_in_the_bulk_sequence():
 @pytest.mark.parametrize("method,args,count", [
     ("uniforms", (-1,), "-1"),
     ("uniforms", ((3, -2),), "(3, -2)"),
-    ("exponential_sequence", (-1,), "-1"),
-    ("exponential_sequence", (-4,), "-4"),
+    ("uniforms", ((-2, 4),), "(-2, 4)"),
+    ("integers", (5, -3), "-3"),
     ("integers", (5, (2, -1)), "(2, -1)"),
     ("jump_ahead", (-60,), "-60"),
 ])
@@ -174,14 +171,15 @@ def test_sample_exponential_rate_two():
 
 def test_sample_exponential_monte_carlo_mean():
     # Monte Carlo oracle on the unit exponential
-    mean = float(RngStream(2024).exponential_sequence(1_000_000).mean())
+    mean = float(np.exp(_log_e(2024, 1_000_000)).mean())
     assert 0.997 <= mean <= 1.003
 
 
 def test_sample_exponential_log_matches_linear():
-    e = RngStream(50).exponential_sequence(50)
-    keys = contention_keys(np.log(e), 1.5, IDEAL, discrete=False)
-    np.testing.assert_allclose(keys, np.log(e * math.exp(-1.5)), atol=1e-12)
+    log_e = _log_e(50, 50)
+    keys = contention_keys(log_e, 1.5, IDEAL, discrete=False)
+    np.testing.assert_allclose(keys, np.log(np.exp(log_e) * math.exp(-1.5)),
+                               atol=1e-12)
 
 
 def test_sample_exponential_rejects_non_finite_rate():
@@ -220,16 +218,16 @@ def test_discretize_timer_anchor_values():
 def test_discretize_timer_log_form_agrees():
     # minislot D > 0 holds the timers with beta**(D - B) <= z < beta**(D - B + 1)
     params = BackoffParams(2.0, beta=1.3, b_offset=40)
-    z = RngStream(9).exponential_sequence(200)
-    slots = _minislots(np.log(z), params)
-    for zi, d in zip(z, slots):
+    log_z = _log_e(9, 200)
+    slots = _minislots(log_z, params)
+    for zi, d in zip(np.exp(log_z), slots):
         if d > 0:
             assert 1.3 ** (d - 40) <= zi * (1 + 1e-12)
         assert zi < 1.3 ** (d - 40 + 1) * (1 + 1e-12)
 
 
 def test_discretize_monotone_in_z_and_b():
-    zs = np.sort(RngStream(31).exponential_sequence(100) * 10)
+    zs = np.sort(np.exp(_log_e(31, 100)) * 10)
     for beta in (1.05, 1.5, 2.0):
         for b in (0, 10, 100):
             params = BackoffParams(2.0, beta=beta, b_offset=b)
@@ -270,9 +268,9 @@ def test_argmin_agrees_between_log_and_linear_domain():
     s = RngStream(77)
     for _ in range(200):
         log_rates = np.array([s.uniform() * 20 for _ in range(6)])
-        e = s.exponential_sequence(6)
-        linear = e / np.exp(log_rates)
-        logs = np.log(e) - log_rates
+        log_e = s.log_exponentials(np.empty(6))
+        linear = np.exp(log_e) / np.exp(log_rates)
+        logs = log_e - log_rates
         assert int(np.argmin(linear)) == int(np.argmin(logs))
 
 

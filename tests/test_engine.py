@@ -23,6 +23,7 @@ from reference import (
     advance,
     contention_keys,
     frame_step,
+    log_timers,
     resolve,
     stream_with_zero_at,
 )
@@ -528,6 +529,15 @@ def test_run_rejects_nonpositive_max_frames(cap):
             max_frames=cap)
 
 
+@pytest.mark.parametrize("prefix", [(0.9,), ("0",), (1, -1)])
+def test_run_rejects_a_prefix_that_is_not_whole_stream_ids(prefix):
+    # a prefix of (0.9,) once ran on replication 0's streams
+    config = NetworkConfig(3, tuple([1.0] * 3), 50, 2)
+    with pytest.raises(ParameterError):
+        run(config, PolicyKind.IDEALIZED_FRESH_CSMA, BackoffParams(alpha=2.0),
+            prefix=prefix)
+
+
 def test_run_bad_horizon_unit():
     config = NetworkConfig(1, (1.0,), 10, 2)
     with pytest.raises(ParameterError):
@@ -790,3 +800,16 @@ def test_a_zero_uniform_is_a_timer_that_wins_its_frame(monkeypatch, kind):
     assert trace.splitlines()[frame - 1].startswith(
         f"frame={frame} min_timer=0 winners={source} collided=0 "
         f"delivered={source} ")
+
+
+def test_timer_block_holds_the_bits_the_checks_draw():
+    # one exp(1) draw: each source's first _BLOCK ln E in the run state's
+    # block are the vector log1p mapping of its timer stream's uniforms,
+    # as the sampled checks' rows take them
+    config = NetworkConfig(5, (1.0,) * 5, _BLOCK, 3)
+    state = engine._RunState(config, _NR, BackoffParams(alpha=1.5), (2,), None)
+    state.step(_FRAMES, _BLOCK, None)
+    _, _, sources = engine.substreams(3, (2,), _NR, 5)
+    for i, stream in enumerate(sources):
+        assert (state.log_e[i].tobytes()
+                == log_timers(stream, [0.0], _BLOCK)[0].tobytes()), i

@@ -134,8 +134,8 @@ def test_scheduling_probabilities_extreme_exponents_stay_finite():
 
 def _log_e(n, frames, seed):
     """ln E for `frames` contentions of n sources: one row per frame."""
-    return np.log(np.column_stack([RngStream(seed, (i,)).exponential_sequence(frames)
-                                   for i in range(n)]))
+    return np.column_stack([RngStream(seed, (i,)).log_exponentials(
+        np.empty(frames)) for i in range(n)])
 
 
 def test_idealized_csma_single_source_always_wins():
@@ -310,8 +310,8 @@ def test_policy_streams_isolated_by_kind():
     _, _, fresh = substreams(17, (), PolicyKind.IDEALIZED_FRESH_CSMA, 3)
     _, _, plain = substreams(17, (), PolicyKind.IDEALIZED_CSMA, 3)
     assert fresh[0].path == (1, 3, 1) and plain[0].path == (1, 2, 1)
-    assert (fresh[0].exponential_sequence(4).tolist()
-            != plain[0].exponential_sequence(4).tolist())
+    assert (fresh[0].log_exponentials(np.empty(4)).tolist()
+            != plain[0].log_exponentials(np.empty(4)).tolist())
 
 
 def test_substream_layout():
