@@ -248,8 +248,10 @@ def _match_check(name: str, states, trials: int, n: int, delta: float,
                  alpha: float | None) -> CheckResult:
     """Closed-form contention mass on the argmax set is at least 1 - delta
     at every state; states(rows) draws the exponents of rows states."""
-    if alpha is None:
-        alpha = match_alpha_threshold(n, delta)
+    # match_alpha_threshold range-checks delta, which the gate reads
+    # whatever alpha is
+    threshold = match_alpha_threshold(n, delta)
+    alpha = threshold if alpha is None else alpha
     worst = min(float((match_probability(states(rows), alpha)
                        - (1.0 - delta)).min()) for rows in _blocks(trials))
     return CheckResult(name=name, ok=worst >= 0.0,

@@ -13,22 +13,27 @@ either model to drive mismatch-age (AoII) scheduling.
 A run's state lives in one object, _RunState, built once from the
 config, the kind, the parameters, the stream prefix and the Markov
 flip probabilities.  It holds the streams and their draw blocks (ln E
-of _BLOCK frames, refilled in place; the Markov true states; the
-stationary randomized picks), each source's last delivery and frame-age
-sum, the clock ages and their integral, the Markov states and
-estimates, and the counters.  run() checks its arguments, builds the
-state, steps it until the horizon and forms the SimulationResult.
+of _BLOCK frames, refilled in place; the Markov true states and their
+run lengths; the stationary randomized picks), each source's last
+delivery and frame-age sum, the clock ages and their integral, the
+Markov estimates and AoII sum, and the counters.  run() checks its
+arguments, builds the state, steps it until the horizon and forms the
+SimulationResult.
 
 Each step moves the state on by one block of at most _FRAMES frames.
 Between deliveries every frame age grows by one and every mismatch age
 follows its source's true states against an estimate that does not
 move, so at a block's start the exponents and ln-timers ln Z = ln E -
 ln rate of all its frames are formed at once, as if nobody delivered.
-The block holds ln Z, not keys.  The idealized model compares ln Z
-itself; the minislot grid's key map (policies.key_of) is
-non-decreasing, so it is applied only where values are compared,
-inside policies.resolve and policies.resolve_rows, and to the trace
-rows.
+A mismatch age is the length of the current run of equal true states
+while the state differs from the estimate, so each refill computes the
+run lengths once (_run_lengths), and a block forms two estimate-free
+layers: layer v, (x != v) * length, holds the ages under an estimate
+of v.  The AoII rules decide from layer x_est, column by column.  The
+block holds ln Z, not keys.  The idealized model compares ln Z itself;
+the minislot grid's key map (policies.key_of) is non-decreasing, so it
+is applied only where values are compared, inside policies.resolve
+and policies.resolve_rows, and to the trace rows.
 
 A step then takes two passes.  The walk only decides: it resolves
 each frame from its row, which resolve masks and restores in place (so
@@ -37,22 +42,23 @@ collision as resolve reports it, and on the minislot grid the winning
 minislot.  A delivery changes only the delivered source's state, so the
 walk patches only that source's column of what the next decision reads:
 its ln Z under frame-age contention (one subtraction), its exponent
-under max-weight, and its layer-2 ln Z or mismatch age under the AoII
-rules.  A collision changes nothing, so once two frames in a row
-collide, the rows up to the next delivery are settled in one pass
+under max-weight, and under the AoII rules its column of layer v, v
+being the post-flip state the delivery carries and now its estimate.
+A collision changes nothing, so once two frames in a row collide, the
+rows up to the next delivery are settled in one pass
 (policies.resolve_rows, on the same ln Z rows and with the same -1 for
 a collision).  The stationary randomized walk is a slice of a refill's
 picks, drawn at once by searchsorted on the cumulative distribution.
 The walk stops at the block's end or at the last delivery a deliveries
 horizon needs.  The accounting pass then goes over the recorded
-deliveries in frame order: the delivery count, the frame-age sums, and
-layer 2 of the mismatch ages, which it patches for every kind with
-Markov sources but max-AoII (whose walk decides from layer 2 itself and
-has patched it), and from which the AoII sum and the estimates follow.
+deliveries in frame order: the delivery count and the frame-age sums.
 It also forms the frame, overhead and elapsed-time totals, the clock
 ages and their integral (_clock_ages) and the trace lines.  Every float
 sum runs in frame order, through np.add.accumulate, so each value is
-the one frame-by-frame additions give.
+the one frame-by-frame additions give.  The AoII sum of every kind with
+Markov sources is accounted once per refill and at the run's end, from
+the refill's recorded deliveries (_RunState.account_aoii), in exact
+integers.
 """
 
 from __future__ import annotations
@@ -133,55 +139,42 @@ def substreams(seed: int, prefix: tuple[int, ...], kind: PolicyKind,
 
 def _trajectory(q: np.ndarray, x_start: np.ndarray,
                 stream: RngStream) -> Iterator[np.ndarray]:
-    """The true states of the frames after x_start, _BLOCK rows at a time.
+    """The true states of the frames after x_start, one refill at a time:
+    row 0 holds the state entering the refill, row r + 1 the state after
+    frame r's flip.
 
-    Each block draws every flip as uniforms((_BLOCK, n)) < q, which
+    Each refill draws every flip as uniforms((_BLOCK, n)) < q, which
     continues the stream exactly as one uniforms(n) per frame would,
-    and XOR-accumulates the flips down the frames onto the state the
-    block starts from.  The next refill overwrites the block.
+    and XOR-accumulates the flips down the frames onto row 0, the last
+    row of the refill before.  The next refill overwrites the block.
     """
-    states = np.empty((_BLOCK, len(x_start)), dtype=bool)
-    start = np.array(x_start, dtype=bool)
+    states = np.empty((_BLOCK + 1, len(x_start)), dtype=bool)
+    states[-1] = x_start
     while True:
-        flips = stream.uniforms(states.shape) < q
-        np.bitwise_xor.accumulate(flips, axis=0, out=states)
-        states ^= start
+        states[0] = states[-1]
+        flips = stream.uniforms((_BLOCK, states.shape[1])) < q
+        np.bitwise_xor.accumulate(flips, axis=0, out=states[1:])
+        states[1:] ^= states[0]
         yield states
-        start = states[-1].copy()
 
 
-def _mismatch_ages(x: np.ndarray, x_before: np.ndarray, run: np.ndarray,
-                   x_est: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mismatch ages over a block of true states x, one row per frame.
+def _run_lengths(x: np.ndarray, length: np.ndarray) -> None:
+    """Each source's run length of equal true states over a refill x of
+    _trajectory, written in place to length, an int array of x's shape.
 
-    x_before is the state entering the block, held for the last run
-    frames.  A source's mismatch age is the length of its current run of
-    equal states while that state differs from the estimate and 0 while
-    it matches: states are binary, so a run that mismatches began after
-    the last match.  Returns the ages, shape (3, k + 1, n), and the run
-    lengths after each frame, shape (k, n).  Row 0 of the ages holds
-    those entering the block and row r + 1 those after frame r.  Layer
-    2 holds them under the estimates x_est; layer v in {0, 1} holds them
-    for an estimate of v, which is exact from any frame whose true state
-    is v on, so it is the delivered source's column after a delivery
-    there.
+    length's last row holds the run lengths after the refill before (1
+    before the first refill); row 0 takes them, as the runs entering x,
+    and row r + 1 receives the lengths after frame r.
     """
-    k = len(x)
-    rows = np.arange(k)[:, None]
-    changed = np.empty_like(x)
-    np.not_equal(x[0], x_before, out=changed[0])
-    np.not_equal(x[1:], x[:-1], out=changed[1:])
-    # Frame each run started at; a run entering the block started run
-    # frames before it.
-    start = np.where(changed, rows, -run)
+    length[0] = length[-1]
+    rows = np.arange(len(x), dtype=length.dtype)[:, None]
+    # Formed in place: the row before each run's first, row r - 1 where
+    # row r changed and -length[0] for the run entering the refill.
+    start = length[1:]
+    start[:] = -length[0]
+    np.copyto(start, rows[:-1], where=x[1:] != x[:-1])
     np.maximum.accumulate(start, axis=0, out=start)
-    length = rows + 1 - start
-    ages = np.empty((3, k + 1, x.shape[1]))
-    ages[:, 0] = (x_before != x_est) * run
-    np.multiply(x, length, out=ages[0, 1:])
-    np.multiply(~x, length, out=ages[1, 1:])
-    np.multiply(x != x_est, length, out=ages[2, 1:])
-    return ages, length
+    np.subtract(rows[1:], start, out=start)
 
 
 def _clock_ages(age: np.ndarray, integral: np.ndarray, durations: np.ndarray,
@@ -276,9 +269,16 @@ class _RunState:
         if self.markov:
             self.states = _trajectory(q, np.zeros(n), engine_stream)
             # Every source starts in state 0, matched by its estimate, so the
-            # length of that first run never shows.
-            self.x_before, self.x_est = np.zeros((2, n), dtype=bool)
-            self.run_length = np.ones(n)
+            # length of that first run never shows.  int32 holds runs of up
+            # to 2**31 - 1 frames.
+            self.length = np.ones((_BLOCK + 1, n), dtype=np.int32)
+            # The estimates the AoII walk decides from and keeps up to date,
+            # the refill's delivered sources frame by frame (-1: none), and
+            # its latest-delivery codes, the estimates entering it in row 0
+            # (see account_aoii; every code is below 2 * _BLOCK + 2).
+            self.x_est = np.zeros(n, dtype=bool)
+            self.refill_won = []
+            self.code = np.zeros((_BLOCK + 1, n), dtype=np.int16)
             self.aoii_sum = np.zeros(n)
         if decide == "randomized":
             self.cdf = np.cumsum(stationary_randomized_probs(config.weights))
@@ -312,32 +312,41 @@ class _RunState:
                 for s, row in zip(self.sources, self.log_e):
                     s.log_exponentials(row)
             if self.markov:
+                if first:
+                    self.account_aoii()
                 self.x_block = next(self.states)
+                _run_lengths(self.x_block, self.length)
             if decide == "randomized":
                 self.picks = np.minimum(
                     np.searchsorted(self.cdf, self.decision.uniforms(_BLOCK),
                                     side="right"), len(last) - 1).tolist()
 
         # The block as if nobody delivered: frame ages grow by one per
-        # row, mismatch ages follow the trajectory.  AoII kinds decide
-        # from layer 2, under the current estimates; layer v holds the
-        # exponents or ln-timers under an estimate of v, which is exact
-        # after a delivery in state v.
-        age = (np.arange(first, first + _FRAMES)[:, None]
-               - np.array(last)) if signal == "frame_age" else None
-        if self.markov:
-            x = self.x_block[offset:offset + _FRAMES]
-            mismatch, runs = _mismatch_ages(x, self.x_before, self.run_length,
-                                            self.x_est)
-        layers = exponents(signal, age, self.w,
-                           mismatch if signal == "aoii" else None)
+        # row, mismatch ages follow the trajectory.  Layer v holds the
+        # AoII exponents or ln-timers under an estimate of v, which is
+        # exact after a delivery in state v, and the AoII kinds decide
+        # from layer x_est, column by column.
+        age = mismatch = None
+        if signal == "frame_age":
+            age = np.arange(first, first + _FRAMES)[:, None] - np.array(last)
+        elif signal == "aoii":
+            # Row r of the block enters frame r, so row r + 1 of x holds
+            # frame r's post-flip state.  A mismatch age is the run length
+            # while the state differs from the estimate, 0 while it
+            # matches: states are binary, so a mismatching run began after
+            # the last match.
+            x = self.x_block[offset:offset + _FRAMES + 1]
+            length = self.length[offset:offset + _FRAMES]
+            mismatch = np.empty((2, _FRAMES, len(last)))
+            np.multiply(x[:-1], length, out=mismatch[0])
+            np.subtract(length, mismatch[0], out=mismatch[1])
+        layers = exponents(signal, age, self.w, mismatch)
         if contention:
             log_e = self.log_e[:, offset:offset + _FRAMES].T
             log_rate_table = self.log_rate_table
-            if signal == "aoii":
-                layers = layers[:, :_FRAMES]
             layers = np.subtract(log_e, layers * params.ln_alpha)
-        now = layers[2] if signal == "aoii" else layers
+        now = (np.where(self.x_est, layers[1], layers[0])
+               if signal == "aoii" else layers)
 
         # The walk decides each frame and records its delivered source,
         # -1 after a collision, and on the minislot grid its winning
@@ -381,7 +390,9 @@ class _RunState:
                     if signal == "aoii":
                         # Markov sources flip within the frame, so a
                         # delivery carries the post-flip state.
-                        now[r + 1:, j] = layers[int(x.item(r, j)), r + 1:, j]
+                        v = int(x.item(r + 1, j))
+                        self.x_est[j] = v
+                        now[r + 1:, j] = layers[v, r + 1:, j]
                     elif signal == "frame_age" and contention:
                         np.subtract(log_e[r + 1:, j],
                                     log_rate_table[1:_FRAMES - r, j],
@@ -392,22 +403,18 @@ class _RunState:
             self.after_collision = after_collision
 
         # The accounting pass: the block's deliveries in frame order.  The
-        # AoII sum reads layer 2 of the mismatch ages: after a delivery in
-        # state v the delivered source's layer 2 is layer v.  Max-AoII's
-        # now is layer 2 itself (exponents returns the float mismatch
-        # array), so its walk has written it; every other kind with Markov
-        # sources patches it here.
+        # AoII sum waits for the refill's end (account_aoii).
         done = len(won)
         self.frames += done
         self.deliveries += done - won.count(-1)
-        markov, frame_age_sum = self.markov, self.frame_age_sum
+        frame_age_sum = self.frame_age_sum
         for r, j in enumerate(won):
             if j >= 0:
                 m = first + r - last[j]
                 frame_age_sum[j] += m * (m + 1) // 2
                 last[j] = first + r
-                if markov and (contention or signal != "aoii"):
-                    mismatch[2, r + 1:, j] = mismatch[int(x.item(r, j)), r + 1:, j]
+        if self.markov:
+            self.refill_won += won
         if discrete:
             steps = np.array([self.elapsed] + [
                 1.0 + s / params.minislots_per_update for s in slots])
@@ -434,12 +441,30 @@ class _RunState:
                             f"collided={int(j < 0)} "
                             f"delivered={'-' if j < 0 else j} "
                             f"duration={duration:.6f}\n")
-        if markov:
-            self.aoii_sum += mismatch[2, 1:done + 1].sum(axis=0)
-            # A mismatch age is positive exactly while the state differs
-            # from the estimate.
-            self.x_before, self.run_length = x[done - 1].copy(), runs[done - 1]
-            self.x_est = self.x_before ^ (mismatch[2, done] > 0)
+
+    def account_aoii(self) -> None:
+        """Add the mismatch ages after each of the refill's frames so far
+        to the AoII sum, and carry the estimates into the next refill.
+
+        Code row 0 holds the estimates entering the refill, and row r + 1
+        the code 2r + 2 + v where frame r delivered a source in state v.
+        Each delivery's code passes every code before it, so the running
+        maximum down the rows is the latest one, and its low bit the
+        estimate after each frame.  The sum of (x != estimate) * run
+        length is exact in integers.
+        """
+        won = np.array(self.refill_won)
+        k = len(won)
+        x, code = self.x_block, self.code[:k + 1]
+        rows = np.flatnonzero(won >= 0)
+        code[rows + 1, won[rows]] = 2 * rows + 2 + x[rows + 1, won[rows]]
+        np.maximum.accumulate(code, axis=0, out=code)
+        code &= 1
+        self.code[0] = code[k]
+        self.aoii_sum += ((x[1:k + 1] != code[1:])
+                          * self.length[1:k + 1]).sum(axis=0)
+        self.code[1:] = 0
+        self.refill_won = []
 
 
 def run(config: NetworkConfig, kind: PolicyKind,
@@ -481,6 +506,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
     while state.frames < cap and state.deliveries < target:
         state.step(min(_FRAMES, cap - state.frames),
                    target - state.deliveries, trace)
+    if state.markov:
+        state.account_aoii()
     frames, deliveries = state.frames, state.deliveries
     if horizon_unit == "deliveries" and deliveries < target:
         raise RuntimeError(

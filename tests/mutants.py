@@ -43,6 +43,7 @@ CHECKS = "src/aoisim/checks.py"
 T_REFERENCE = "tests/test_engine.py::test_run_equals_reference_frame_loop"
 T_COLLISIONS = ("tests/test_engine.py::"
                 "test_collision_runs_equal_reference_frame_loop")
+T_RUN_LENGTHS = "tests/test_engine.py::test_run_lengths_equal_a_per_frame_count"
 T_CONFIG = "tests/test_core.py::test_network_config_validation"
 T_CORE_STREAM = "tests/test_core.py::test_stream_rejects_bad_seed_and_path"
 T_SPEC_MISTAKES = ("tests/test_experiments.py::"
@@ -77,14 +78,21 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # engine: the run state's step and the result
-    Mutant("engine-no-layer2-patch", ENGINE,
-           "mismatch[2, r + 1:, j] = mismatch[int(x.item(r, j)), r + 1:, j]",
-           "pass",
-           (T_REFERENCE, "tests/test_regression.py")),
-    Mutant("engine-layer2-patch-skips-contention-aoii", ENGINE,
-           'if markov and (contention or signal != "aoii"):',
-           'if markov and signal != "aoii":',
-           (T_REFERENCE, "tests/test_regression.py")),
+    # the Markov path: the estimate a delivery sets, in the walk and in
+    # the refill's AoII accounting, and what each refill carries over
+    Mutant("engine-estimate-from-pre-flip-state", ENGINE,
+           "v = int(x.item(r + 1, j))", "v = int(x.item(r, j))",
+           (T_REFERENCE, T_COLLISIONS)),
+    Mutant("engine-walk-keeps-the-estimate", ENGINE,
+           "self.x_est[j] = v\n", "pass\n", (T_REFERENCE, T_COLLISIONS)),
+    Mutant("engine-aoii-code-from-pre-flip-state", ENGINE,
+           "2 * rows + 2 + x[rows + 1, won[rows]]",
+           "2 * rows + 2 + x[rows, won[rows]]", (T_REFERENCE, T_COLLISIONS)),
+    Mutant("engine-estimate-not-carried-across-a-refill", ENGINE,
+           "self.code[0] = code[k]", "pass", (T_REFERENCE, T_COLLISIONS)),
+    Mutant("engine-run-length-not-carried-across-a-refill", ENGINE,
+           "length[0] = length[-1]", "length[0] = 1",
+           (T_RUN_LENGTHS, T_REFERENCE)),
     Mutant("engine-frame-age-sum", ENGINE,
            "frame_age_sum[j] += m * (m + 1) // 2",
            "frame_age_sum[j] += m * (m - 1) // 2",
@@ -179,15 +187,6 @@ MUTANTS = (
     Mutant("policies-ideal-key-ignores-out", POLICIES,
            "np.positive(log_z, out=out)", "np.positive(log_z)",
            ("tests/test_policies.py", "tests/test_checks.py")),
-    # max-AoII's walk writes mismatch layer 2 through the array
-    # exponents returns, and the accounting relies on it
-    Mutant("policies-exponents-copy-mismatch-ages", POLICIES,
-           "return np.asarray(aoii, dtype=float)",
-           "return np.array(aoii, dtype=float)",
-           (T_REFERENCE, "tests/test_engine.py::"
-            "test_deliveries_horizon_stops_at_the_target_delivery[max_aoii]",
-            "tests/test_regression.py::"
-            "test_results_match_pins[max_aoii-n4-s14-frames-q0.2-library]")),
     Mutant("policies-grid-key-ignores-out", POLICIES,
            "np.divide(log_z, params.ln_beta, out=out)",
            "np.divide(log_z, params.ln_beta)",
@@ -234,6 +233,12 @@ MUTANTS = (
            (T_FAILING, T_IMPORT)),
     Mutant("checks-no-stop-flag", CHECKS,
            "while not failed.is_set():", "while True:", (T_FAILING,)),
+    Mutant("checks-match-delta-unchecked-with-alpha", CHECKS,
+           "threshold = match_alpha_threshold(n, delta)\n"
+           "    alpha = threshold if alpha is None else alpha",
+           "alpha = match_alpha_threshold(n, delta) if alpha is None else alpha",
+           ("tests/test_checks.py::"
+            "test_match_checks_reject_delta_outside_0_1_whatever_alpha",)),
     Mutant("checks-winner-on-ties", CHECKS,
            "np.less(row, low, out=less)", "np.less_equal(row, low, out=less)",
            ("tests/test_checks.py::"

@@ -80,6 +80,17 @@ def test_checks_reject_fewer_than_two_sources(check):
             check(trials=10, n=n)
 
 
+@pytest.mark.parametrize("cid", ["thm1", "thm5"])
+@pytest.mark.parametrize("alpha", [None, 20.0])
+@pytest.mark.parametrize("delta", [1.5, -0.5, 0.0, 1.0, math.nan])
+def test_match_checks_reject_delta_outside_0_1_whatever_alpha(cid, alpha,
+                                                             delta):
+    # with an explicit alpha, delta = 1.5 once passed a vacuous gate and
+    # delta = -0.5 failed one no alpha can pass
+    with pytest.raises(ParameterError, match="delta must be in"):
+        CHECKS[cid](trials=20, alpha=alpha, delta=delta)
+
+
 @pytest.mark.parametrize("cid,counts,name", [
     ("thm1", {"trials": 2.5}, "trials"),
     ("lemma1", {"samples": 10.5}, "samples"),

@@ -366,7 +366,8 @@ def test_step_markov_frame_age_tracked_alongside():
        start=st.integers(0, 31))
 def test_markov_trajectory_equals_per_frame_flips(q, frames, seed, start):
     # the block trajectory (XOR-accumulated flips, carried across blocks)
-    # is what one uniforms(n) flip draw per frame gives
+    # is what one uniforms(n) flip draw per frame gives; each block's row 0
+    # is the state entering it
     n = len(q)
     x = np.array([(start >> i) & 1 for i in range(n)], dtype=bool)
     blocks = _trajectory(np.array(q), x, RngStream(seed, (0,)))
@@ -374,8 +375,36 @@ def test_markov_trajectory_equals_per_frame_flips(q, frames, seed, start):
     for t in range(frames):
         if t % _BLOCK == 0:
             block = next(blocks)
+            assert block[0].tolist() == x.tolist()
         x ^= per_frame.uniforms(n) < q
-        assert block[t % _BLOCK].tolist() == x.tolist()
+        assert block[t % _BLOCK + 1].tolist() == x.tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.lists(st.sampled_from([0.05, 1.0, 0.0]), max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_lengths_equal_a_per_frame_count(q, seed):
+    # the run state's run lengths of equal true states, computed once per
+    # refill, are those a frame-by-frame count gives over three refills.
+    # Source 0 never flips, so its run enters the second and third refills
+    # and passes 2 * _BLOCK frames.
+    q = np.array([0.0] + q)
+    n = len(q)
+    state = engine._RunState(NetworkConfig(n, (1.0,) * n, 3 * _BLOCK, seed),
+                             PolicyKind.MAX_WEIGHT, None, (), q)
+    run, x_before = np.ones(n, dtype=int), np.zeros(n, dtype=bool)
+    for _ in range(3):
+        state.step(_FRAMES, 3 * _BLOCK, None)
+        x, length = state.x_block, state.length
+        assert x[0].tolist() == x_before.tolist()
+        assert length[0].tolist() == run.tolist()
+        for r in range(1, _BLOCK + 1):
+            run = np.where(x[r] == x[r - 1], run + 1, 1)
+            assert length[r].tolist() == run.tolist(), r
+        x_before = x[-1].copy()
+        while state.frames % _BLOCK:
+            state.step(_FRAMES, 3 * _BLOCK, None)
+    assert run[0] == 3 * _BLOCK + 1
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +639,10 @@ def _runs(draw):
     if kind not in _AOII_KINDS:
         q_choices.append(st.none())
     markov_q = draw(st.one_of(*q_choices))
-    # frame counts on either side of a kernel block and of a draw block
+    # frame counts on either side of a kernel block and of one and two
+    # draw blocks, which carry estimates and run lengths across refills
     horizon = draw(st.sampled_from([_FRAMES - 1, _FRAMES, _FRAMES + 1,
-                                    1023, 1024, 1025]))
+                                    1023, 1024, 1025, 2047, 2048, 2049]))
     unit = draw(st.sampled_from(["frames", "deliveries"]))
     config = NetworkConfig(n, weights, horizon, draw(st.integers(0, 2**32 - 1)))
     kwargs = dict(prefix=draw(st.sampled_from([(), (1,)])), markov_q=markov_q,
@@ -681,7 +711,9 @@ def test_run_results_keep_their_invariants(case):
 # crosses the 1024-frame draw block.  At seed 5 the 100-frame cap falls
 # inside a run that starts after deliveries in the last block.  At seed
 # 93 frames 81-83 collide and frame 84 makes the 78th delivery, the last
-# one the horizon needs.
+# one the horizon needs.  The two refill cases deliver on the last frame
+# of each of their first two refills, frames 1024 and 2048 of the trace,
+# whose estimates the next refill takes over.
 _MIXED = BackoffParams(alpha=1.1, beta=1.3, b_offset=30)
 _HEAVY = BackoffParams(alpha=1.1, beta=1.1, b_offset=45)
 _NR = PolicyKind.NEAR_REALISTIC_FRESH_CSMA
@@ -698,6 +730,13 @@ _CASES = {
                             PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII,
                             BackoffParams(alpha=2.1, beta=1.3, b_offset=8),
                             dict(markov_q=0.1)),
+    "AoII delivery ends a refill": (
+        NetworkConfig(5, (1.0,) * 5, 2100, 3),
+        PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII,
+        BackoffParams(alpha=2.1, beta=1.3, b_offset=8), dict(markov_q=0.1)),
+    "max-weight Markov delivery ends a refill": (
+        NetworkConfig(5, (1.0,) * 5, 2100, 3), PolicyKind.MAX_WEIGHT, None,
+        dict(markov_q=0.05)),
     # the largest B of the domain, with one collision run at seed 1
     "B at the domain edge": (NetworkConfig(3, (1.0,) * 3, 300, 1), _NR,
                              BackoffParams(alpha=1.5, beta=1.3,
@@ -734,6 +773,9 @@ def test_collision_runs_equal_reference_frame_loop(name):
         assert collided[-4:] == [True, True, True, False]
     elif name == "near-realistic AoII":
         assert 0.2 < result.collision_rate < 0.9 and ends
+    elif "ends a refill" in name:
+        assert not collided[_BLOCK - 1] and not collided[2 * _BLOCK - 1]
+        assert result.normalized_avg_aoii > 0
     else:
         assert ends
 
