@@ -20,16 +20,19 @@ Markov estimates and AoII sum, and the counters.  run() checks its
 arguments, builds the state, steps it until the horizon and forms the
 SimulationResult.
 
-Each step moves the state on by one block of at most _FRAMES frames.
-Between deliveries every frame age grows by one and every mismatch age
-follows its source's true states against an estimate that does not
-move, so at a block's start the exponents and ln-timers ln Z = ln E -
-ln rate of all its frames are formed at once, as if nobody delivered.
+Each step moves the state on by one block, which never crosses a
+refill's end: at most _FRAMES frames, or the rest of the refill for a
+settle block (below).  Between deliveries every frame age grows by one
+and every mismatch age follows its source's true states against an
+estimate that does not move, so at a block's start the exponents and
+ln-timers ln Z = ln E - ln rate of all its frames are formed at once,
+as if nobody delivered.
 A mismatch age is the length of the current run of equal true states
 while the state differs from the estimate, so each refill computes the
 run lengths once (_run_lengths), and a block forms two estimate-free
 layers: layer v, (x != v) * length, holds the ages under an estimate
-of v.  The AoII rules decide from layer x_est, column by column.  The
+of v.  The AoII rules decide from layer x_est, column by column; a
+settle block, which nothing patches, forms only that layer.  The
 block holds ln Z, not keys.  The idealized model compares ln Z itself;
 the minislot grid's key map (policies.key_of) is non-decreasing, so it
 is applied only where values are compared, inside policies.resolve
@@ -47,18 +50,24 @@ being the post-flip state the delivery carries and now its estimate.
 A collision changes nothing, so once two frames in a row collide, the
 rows up to the next delivery are settled in one pass
 (policies.resolve_rows, on the same ln Z rows and with the same -1 for
-a collision).  The stationary randomized walk is a slice of a refill's
-picks, drawn at once by searchsorted on the cumulative distribution.
-The walk stops at the block's end or at the last delivery a deliveries
-horizon needs.  The accounting pass then goes over the recorded
-deliveries in frame order: the delivery count and the frame-age sums.
-It also forms the frame, overhead and elapsed-time totals, the clock
-ages and their integral (_clock_ages) and the trace lines.  Every float
-sum runs in frame order, through np.add.accumulate, so each value is
-the one frame-by-frame additions give.  The AoII sum of every kind with
-Markov sources is accounted once per refill and at the run's end, from
-the refill's recorded deliveries (_RunState.account_aoii), in exact
-integers.
+a collision).  A run that reaches its block's end makes the next block
+a settle block: it is formed up to the refill's end or the frame cap,
+settled in one resolve_rows pass, and ends at its first delivering row.
+While settle blocks deliver nothing the next is one too, so a saturated
+run takes one pass per refill.  The stationary randomized walk is a
+slice of a refill's picks, drawn at once by searchsorted on the
+cumulative distribution.  The walk stops at the block's end or at the
+last delivery a deliveries horizon needs.  The accounting pass then
+goes over the recorded deliveries in frame order: the delivery count
+and the frame-age sums.  It also forms the frame and overhead totals,
+the near-realistic frame durations and the trace lines.  What depends
+on a whole run of frames waits for the refill's end and the run's end
+(_RunState.account_refill), from the refill's recorded deliveries: the
+AoII sum of every kind with Markov sources, in exact integers, and on
+the minislot grid the elapsed time, the clock ages and their integral
+(_clock_ages).  Every float sum runs in frame order, through
+np.add.accumulate, so each value is the one frame-by-frame additions
+give.
 """
 
 from __future__ import annotations
@@ -83,11 +92,14 @@ from .policies import (
     stationary_randomized_probs,
 )
 
-# Frames of timer and Markov draws fetched per refill, and frames per
-# kernel block, a frame slice of a refill (so _FRAMES divides _BLOCK);
-# neither changes a draw.
+# Frames of timer and Markov draws fetched per refill, and the most
+# frames of a kernel block other than a settle block; every block is a
+# frame slice of one refill, and neither size changes a draw.  A refill's
+# clock ages are accounted _CLOCK_FRAMES frames at a time, which bounds
+# the restart chains _clock_ages forms.
 _BLOCK = 1024
 _FRAMES = 64
+_CLOCK_FRAMES = 128
 
 
 @dataclass(frozen=True)
@@ -177,18 +189,28 @@ def _run_lengths(x: np.ndarray, length: np.ndarray) -> None:
     np.subtract(rows[1:], start, out=start)
 
 
+def _leading_collisions(won: np.ndarray) -> int:
+    """The number of rows of won (resolve_rows' delivered sources) before
+    the first delivery: all of them when none delivers."""
+    delivered = won >= 0
+    hit = int(delivered.argmax())
+    return hit if delivered[hit] else len(won)
+
+
 def _clock_ages(age: np.ndarray, integral: np.ndarray, durations: np.ndarray,
                 won: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The near-realistic clock ages and their integral after a block.
+    """The near-realistic clock ages and their integral after a span of
+    frames.
 
-    age and integral enter the block; its frames last durations and
+    age and integral enter the span; its frames last durations and
     deliver won (-1 after a collision).  Each frame adds its duration
     times the ages at its start to the integral, then adds its duration
     to every age.  A delivery restarts its source's age at the frame's
     duration: the update was generated at the frame start, so the
     monitor's information is one frame-duration old.  The sums run in
     frame order through np.add.accumulate, one restart chain per
-    delivery, so every float is the one frame-by-frame additions give.
+    delivery (_restart_ages), so every float is the one frame-by-frame
+    additions give.
     """
     k, n = len(durations), len(age)
     ages = np.empty((k + 1, n))
@@ -196,23 +218,42 @@ def _clock_ages(age: np.ndarray, integral: np.ndarray, durations: np.ndarray,
     ages[1:] = durations[:, None]
     np.add.accumulate(ages, axis=0, out=ages)
     if max(won) >= 0:
-        won = np.asarray(won)
-        rows = np.flatnonzero(won >= 0)
-        # Chain m + 1 holds the durations from delivery m's row on, after
-        # zeros, which leave its sums exact; sel picks each source's
-        # latest chain, 0 for none.
-        chains = np.zeros((len(rows) + 1, k))
-        np.copyto(chains[1:], durations, where=np.arange(k) >= rows[:, None])
-        np.add.accumulate(chains, axis=1, out=chains)
-        sel = np.zeros((k, n), dtype=np.intp)
-        sel[rows, won[rows]] = np.arange(1, len(rows) + 1)
-        np.maximum.accumulate(sel, axis=0, out=sel)
-        np.copyto(ages[1:], chains[sel, np.arange(k)[:, None]], where=sel > 0)
+        _restart_ages(ages[1:], durations, np.asarray(won))
     terms = np.empty_like(ages)
     terms[0] = integral
     np.multiply(ages[:k], durations[:, None], out=terms[1:])
     np.add.accumulate(terms, axis=0, out=terms)
     return ages[k], terms[k]
+
+
+def _restart_ages(ages: np.ndarray, durations: np.ndarray,
+                  won: np.ndarray) -> None:
+    """Write, in place, the ages after each frame of a span of every
+    source after its first delivery in the span: the durations from its
+    latest delivery's frame on, summed in frame order.
+
+    Chain m holds delivery m's frame's duration and those after it, as
+    far as an age reads one: a window of the zero-padded durations,
+    summed by one accumulate.  Its own function, so that its index
+    arrays are freed before _clock_ages forms the integral's terms.
+    """
+    k = len(durations)
+    rows = np.flatnonzero(won >= 0)
+    # sel: each source's latest delivery by frame, an index into rows
+    # (-1 for none yet), and since: the frames from it to this one.
+    sel = np.full(ages.shape, -1, dtype=np.intp)
+    sel[rows, won[rows]] = np.arange(len(rows))
+    np.maximum.accumulate(sel, axis=0, out=sel)
+    restarted = sel >= 0
+    since = rows[sel]
+    np.subtract(np.arange(k)[:, None], since, out=since)
+    since *= restarted
+    width = since.max() + 1
+    padded = np.zeros(k + width)
+    padded[:k] = durations
+    chains = np.lib.stride_tricks.sliding_window_view(padded, width)[rows]
+    np.add.accumulate(chains, axis=1, out=chains)
+    np.copyto(ages, chains[sel, since], where=restarted)
 
 
 # ---------------------------------------------------------------------------
@@ -273,37 +314,46 @@ class _RunState:
             # to 2**31 - 1 frames.
             self.length = np.ones((_BLOCK + 1, n), dtype=np.int32)
             # The estimates the AoII walk decides from and keeps up to date,
-            # the refill's delivered sources frame by frame (-1: none), and
-            # its latest-delivery codes, the estimates entering it in row 0
-            # (see account_aoii; every code is below 2 * _BLOCK + 2).
+            # and the refill's latest-delivery codes, the estimates entering
+            # it in row 0 (see account_aoii; every code is below
+            # 2 * _BLOCK + 2).
             self.x_est = np.zeros(n, dtype=bool)
-            self.refill_won = []
             self.code = np.zeros((_BLOCK + 1, n), dtype=np.int16)
             self.aoii_sum = np.zeros(n)
         if decide == "randomized":
             self.cdf = np.cumsum(stationary_randomized_probs(config.weights))
         if discrete:
             # Wall-clock ages sampled at frame starts, weighted by the frame's
-            # duration (see _clock_ages).
+            # duration (see _clock_ages), and the refill's frame durations.
             self.clock_age = np.ones(n)
             self.clock_age_integral = np.zeros(n)
+            self.durations = np.empty(_BLOCK)
+        # The refill's delivered sources frame by frame (-1: none), which
+        # account_refill reads.
+        self.refill_won = []
         # Frame of each source's last delivery (-1 before the first: ages
         # start at 1) and the frame ages summed over its closed intervals.
         self.last = [-1] * n
         self.frame_age_sum = [0] * n
         self.frames = self.deliveries = self.overhead_minislots = 0
         self.elapsed = 0.0
-        self.after_collision = False
+        # after_collision: the last frame collided; settle: its collision
+        # run reached its block's end, so the next block is a settle block.
+        self.after_collision = self.settle = False
 
     def step(self, rows: int, left: int, trace: IO[str] | None) -> None:
         """Form, walk and account for the next block: at most rows frames,
-        the walk stopping after left more deliveries."""
+        the walk stopping after left more deliveries.  A block ends at the
+        refill's end; a settle block spans the rest of the refill, any
+        other block at most _FRAMES frames."""
         decide, signal, discrete = self.rule
         contention = decide == "contention"
         params, age_table, last = self.params, self.age_table, self.last
         first = self.frames
         offset = first % _BLOCK
         if offset == 0:
+            if first:
+                self.account_refill()
             # Refill the draw blocks, each in place: ln E takes one exp(1)
             # draw per source and frame, a source's row at a time.  A zero
             # draw (a zero uniform) is ln E = -inf, a timer that wins its
@@ -312,14 +362,13 @@ class _RunState:
                 for s, row in zip(self.sources, self.log_e):
                     s.log_exponentials(row)
             if self.markov:
-                if first:
-                    self.account_aoii()
                 self.x_block = next(self.states)
                 _run_lengths(self.x_block, self.length)
             if decide == "randomized":
                 self.picks = np.minimum(
                     np.searchsorted(self.cdf, self.decision.uniforms(_BLOCK),
                                     side="right"), len(last) - 1).tolist()
+        k = min(rows, _BLOCK - offset, _BLOCK if self.settle else _FRAMES)
 
         # The block as if nobody delivered: frame ages grow by one per
         # row, mismatch ages follow the trajectory.  Layer v holds the
@@ -328,25 +377,29 @@ class _RunState:
         # from layer x_est, column by column.
         age = mismatch = None
         if signal == "frame_age":
-            age = np.arange(first, first + _FRAMES)[:, None] - np.array(last)
+            age = np.arange(first, first + k)[:, None] - np.array(last)
         elif signal == "aoii":
             # Row r of the block enters frame r, so row r + 1 of x holds
             # frame r's post-flip state.  A mismatch age is the run length
             # while the state differs from the estimate, 0 while it
             # matches: states are binary, so a mismatching run began after
             # the last match.
-            x = self.x_block[offset:offset + _FRAMES + 1]
-            length = self.length[offset:offset + _FRAMES]
-            mismatch = np.empty((2, _FRAMES, len(last)))
-            np.multiply(x[:-1], length, out=mismatch[0])
-            np.subtract(length, mismatch[0], out=mismatch[1])
+            x = self.x_block[offset:offset + k + 1]
+            length = self.length[offset:offset + k]
+            if self.settle:
+                # nothing patches a settle block: only layer x_est is read
+                mismatch = (x[:-1] != self.x_est) * length
+            else:
+                mismatch = np.empty((2, k, len(last)))
+                np.multiply(x[:-1], length, out=mismatch[0])
+                np.subtract(length, mismatch[0], out=mismatch[1])
         layers = exponents(signal, age, self.w, mismatch)
         if contention:
-            log_e = self.log_e[:, offset:offset + _FRAMES].T
+            log_e = self.log_e[:, offset:offset + k].T
             log_rate_table = self.log_rate_table
             layers = np.subtract(log_e, layers * params.ln_alpha)
         now = (np.where(self.x_est, layers[1], layers[0])
-               if signal == "aoii" else layers)
+               if signal == "aoii" and not self.settle else layers)
 
         # The walk decides each frame and records its delivered source,
         # -1 after a collision, and on the minislot grid its winning
@@ -354,12 +407,25 @@ class _RunState:
         # A delivery changes only its source's state, so it patches only
         # that source's column of what the next decision reads.
         if decide == "randomized":
-            won, slots = self.picks[offset:offset + min(rows, left)], []
+            won, slots = self.picks[offset:offset + min(k, left)], []
+        elif self.settle:
+            # The collision run before this block reached its block's end,
+            # so every row stands as formed up to the next delivery: one
+            # pass settles them, and the block ends at the delivering row.
+            run_won, run_slots = resolve_rows(now, params, discrete)
+            hit = _leading_collisions(run_won)
+            won = run_won[:hit + 1].tolist()
+            slots = run_slots[:hit + 1] if discrete else []
+            if hit < k:
+                self.settle = self.after_collision = False
+                if signal == "aoii":
+                    j = won[hit]
+                    self.x_est[j] = x.item(hit + 1, j)
         else:
             won, slots = [], []
             decision, after_collision = self.decision, self.after_collision
             r = 0
-            while r < rows and left:
+            while r < k and left:
                 if decide == "argmax":
                     j = argmax_decide(now[r], decision)
                 else:
@@ -368,16 +434,18 @@ class _RunState:
                         # A collision changes no timer, so the rows after
                         # it stand as formed up to the next delivery: once
                         # two frames in a row collide, settle the run in
-                        # one pass and go on at its delivering row.
-                        run_won, run_slots = resolve_rows(now[r:rows], params,
+                        # one pass and go on at its delivering row.  A run
+                        # that reaches the block's end goes on in a settle
+                        # block.
+                        run_won, run_slots = resolve_rows(now[r:k], params,
                                                           discrete)
-                        # row r collided, so argmax is 0 when none delivers
-                        hit = int((run_won >= 0).argmax()) or len(run_won)
+                        hit = _leading_collisions(run_won)
                         won += [-1] * hit
                         if discrete:
                             slots += run_slots[:hit].tolist()
                         r += hit
-                        if r == rows:
+                        if r == k:
+                            self.settle = True
                             break
                         j = int(run_won[hit])
                         slot = int(run_slots[hit]) if discrete else None
@@ -395,15 +463,16 @@ class _RunState:
                         now[r + 1:, j] = layers[v, r + 1:, j]
                     elif signal == "frame_age" and contention:
                         np.subtract(log_e[r + 1:, j],
-                                    log_rate_table[1:_FRAMES - r, j],
+                                    log_rate_table[1:k - r, j],
                                     out=now[r + 1:, j])
                     elif signal == "frame_age":
-                        now[r + 1:, j] = age_table[1:_FRAMES - r, j]
+                        now[r + 1:, j] = age_table[1:k - r, j]
                 r += 1
             self.after_collision = after_collision
 
         # The accounting pass: the block's deliveries in frame order.  The
-        # AoII sum waits for the refill's end (account_aoii).
+        # AoII sum, the elapsed time and the clock ages wait for the
+        # refill's end (account_refill).
         done = len(won)
         self.frames += done
         self.deliveries += done - won.count(-1)
@@ -413,15 +482,21 @@ class _RunState:
                 m = first + r - last[j]
                 frame_age_sum[j] += m * (m + 1) // 2
                 last[j] = first + r
-        if self.markov:
-            self.refill_won += won
+        self.refill_won += won
         if discrete:
-            steps = np.array([self.elapsed] + [
-                1.0 + s / params.minislots_per_update for s in slots])
-            self.elapsed = np.add.accumulate(steps)[-1].item()
-            self.overhead_minislots += sum(slots)
-            self.clock_age, self.clock_age_integral = _clock_ages(
-                self.clock_age, self.clock_age_integral, steps[1:], won)
+            # A frame lasts 1 + s / M, s / M the correctly rounded quotient.
+            # Minislots are whole numbers below 2**53, exact in int64 and in
+            # floats, so for an M that is a float too one array division
+            # gives every quotient; any other M divides frame by frame.
+            slots = np.array(slots)
+            durations = self.durations[offset:offset + done]
+            m = params.minislots_per_update
+            if float(m) == m:
+                np.divide(slots, float(m), out=durations)
+            else:
+                durations[:] = [s / m for s in slots.tolist()]
+            durations += 1.0
+            self.overhead_minislots += int(slots.sum())
         else:
             # unit frames: every partial sum is an exact integer
             self.elapsed += done
@@ -435,16 +510,35 @@ class _RunState:
                     winners = np.flatnonzero(tied).tolist()
                     timer = (slots[r] if discrete
                              else np.exp(now[r])[winners[0]])
-                duration = steps[r + 1] if discrete else 1.0
+                duration = durations[r] if discrete else 1.0
                 trace.write(f"frame={first + r + 1} min_timer={timer:g} "
                             f"winners={','.join(map(str, winners))} "
                             f"collided={int(j < 0)} "
                             f"delivered={'-' if j < 0 else j} "
                             f"duration={duration:.6f}\n")
 
-    def account_aoii(self) -> None:
-        """Add the mismatch ages after each of the refill's frames so far
-        to the AoII sum, and carry the estimates into the next refill.
+    def account_refill(self) -> None:
+        """Account for the refill's frames so far from their recorded
+        deliveries, then clear the record: the AoII sum (account_aoii)
+        and, on the minislot grid, the elapsed time and the clock ages,
+        _CLOCK_FRAMES frames at a time."""
+        won = self.refill_won
+        if self.markov:
+            self.account_aoii(np.array(won))
+        if self.rule.discrete:
+            durations = self.durations[:len(won)]
+            steps = np.append(self.elapsed, durations)
+            self.elapsed = np.add.accumulate(steps)[-1].item()
+            for s in range(0, len(won), _CLOCK_FRAMES):
+                self.clock_age, self.clock_age_integral = _clock_ages(
+                    self.clock_age, self.clock_age_integral,
+                    durations[s:s + _CLOCK_FRAMES], won[s:s + _CLOCK_FRAMES])
+        self.refill_won = []
+
+    def account_aoii(self, won: np.ndarray) -> None:
+        """Add the mismatch ages after each of the refill's frames so far,
+        which delivered won, to the AoII sum, and carry the estimates into
+        the next refill.
 
         Code row 0 holds the estimates entering the refill, and row r + 1
         the code 2r + 2 + v where frame r delivered a source in state v.
@@ -453,7 +547,6 @@ class _RunState:
         estimate after each frame.  The sum of (x != estimate) * run
         length is exact in integers.
         """
-        won = np.array(self.refill_won)
         k = len(won)
         x, code = self.x_block, self.code[:k + 1]
         rows = np.flatnonzero(won >= 0)
@@ -464,7 +557,6 @@ class _RunState:
         self.aoii_sum += ((x[1:k + 1] != code[1:])
                           * self.length[1:k + 1]).sum(axis=0)
         self.code[1:] = 0
-        self.refill_won = []
 
 
 def run(config: NetworkConfig, kind: PolicyKind,
@@ -504,10 +596,8 @@ def run(config: NetworkConfig, kind: PolicyKind,
            else 100 * target if max_frames is None else max_frames)
     state = _RunState(config, kind, params, prefix, q)
     while state.frames < cap and state.deliveries < target:
-        state.step(min(_FRAMES, cap - state.frames),
-                   target - state.deliveries, trace)
-    if state.markov:
-        state.account_aoii()
+        state.step(cap - state.frames, target - state.deliveries, trace)
+    state.account_refill()
     frames, deliveries = state.frames, state.deliveries
     if horizon_unit == "deliveries" and deliveries < target:
         raise RuntimeError(

@@ -171,10 +171,14 @@ def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
     frame collides when the runner-up shares the minimum's minislot,
     i.e. its key lies below max(floor(k_min), -B) + 1.  Only the minimum
     is discretized; within BackoffParams' domain that is exact and agrees
-    with minislots.  On a delivery the minimum key is unique, so the argmin
-    of ln Z is the winner.  log_z must be writable; it comes back
-    unchanged.  Returns the delivered source (-1 after a collision) and
-    the winning minislot as an int (None in the idealized model).
+    with minislots.  The grid keys are key_of's float branch written
+    out, the same correctly rounded division by ln(beta).  On a delivery
+    the minimum key is unique, so the argmin of ln Z is the winner.
+    log_z must be writable; it comes back unchanged.  Returns the
+    delivered source (-1 after a collision) and the winning minislot as
+    an int (None in the idealized model).  The engine walks a block's
+    frames through resolve and settles a collision run, or a whole
+    settle block up to its first delivery, through resolve_rows.
     """
     j = int(log_z.argmin())
     z = log_z.item(j)
@@ -183,11 +187,13 @@ def resolve(log_z: np.ndarray, params: BackoffParams, discrete: bool
     log_z[j] = z
     if not discrete:
         return (-1 if runner_up == z else j), None
-    k, runner_up = key_of(z, params, True), key_of(runner_up, params, True)
-    b_offset = params.b_offset
+    # key_of's float branch, written out: one correctly rounded division
+    ln_beta, b_offset = params.ln_beta, params.b_offset
+    k = z / ln_beta
     # max(floor(k), -B), clamped first: -B is an integer, -inf has no int floor
-    floor_k = math.floor(max(k, -b_offset))
-    return (-1 if runner_up < floor_k + 1.0 else j), b_offset + floor_k
+    floor_k = math.floor(k if k > -b_offset else -b_offset)
+    delivered = -1 if runner_up / ln_beta < floor_k + 1.0 else j
+    return delivered, b_offset + floor_k
 
 
 def resolve_rows(log_z: np.ndarray, params: BackoffParams, discrete: bool

@@ -43,6 +43,8 @@ CHECKS = "src/aoisim/checks.py"
 T_REFERENCE = "tests/test_engine.py::test_run_equals_reference_frame_loop"
 T_COLLISIONS = ("tests/test_engine.py::"
                 "test_collision_runs_equal_reference_frame_loop")
+T_ONE_PASS = ("tests/test_engine.py::"
+              "test_a_collision_run_is_settled_in_one_pass")
 T_RUN_LENGTHS = "tests/test_engine.py::test_run_lengths_equal_a_per_frame_count"
 T_CONFIG = "tests/test_core.py::test_network_config_validation"
 T_CORE_STREAM = "tests/test_core.py::test_stream_rejects_bad_seed_and_path"
@@ -98,27 +100,47 @@ MUTANTS = (
            "frame_age_sum[j] += m * (m - 1) // 2",
            (T_REFERENCE, "tests/test_regression.py")),
     Mutant("engine-log-rate-row-0", ENGINE,
-           "log_rate_table[1:_FRAMES - r, j]",
-           "log_rate_table[0:_FRAMES - r - 1, j]",
+           "log_rate_table[1:k - r, j]",
+           "log_rate_table[0:k - r - 1, j]",
            (T_REFERENCE, T_COLLISIONS)),
+    # collision runs and settle blocks
     Mutant("engine-settle-without-run-length", ENGINE,
-           "hit = int((run_won >= 0).argmax()) or len(run_won)",
-           "hit = int((run_won >= 0).argmax())",
-           (T_COLLISIONS,
-            "tests/test_engine.py::test_a_collision_run_is_settled_in_one_pass")),
+           "return hit if delivered[hit] else len(won)", "return hit",
+           (T_COLLISIONS, T_ONE_PASS)),
+    Mutant("engine-settle-flag-never-cleared", ENGINE,
+           "self.settle = self.after_collision = False\n                if",
+           "self.after_collision = False\n                if",
+           (T_COLLISIONS, T_ONE_PASS)),
+    Mutant("engine-settle-block-not-capped-at-the-refill", ENGINE,
+           "k = min(rows, _BLOCK - offset, _BLOCK if self.settle else _FRAMES)",
+           "k = min(rows, _BLOCK if self.settle "
+           "else min(_FRAMES, _BLOCK - offset))",
+           (T_COLLISIONS, T_ONE_PASS)),
+    Mutant("engine-settle-block-keeps-the-estimate", ENGINE,
+           "self.x_est[j] = x.item(hit + 1, j)", "pass",
+           (T_REFERENCE, T_COLLISIONS)),
+    Mutant("engine-settle-block-reads-the-other-estimate", ENGINE,
+           "mismatch = (x[:-1] != self.x_est) * length",
+           "mismatch = (x[:-1] == self.x_est) * length", (T_COLLISIONS,)),
+    Mutant("engine-durations-divide-by-an-inexact-m", ENGINE,
+           "if float(m) == m:", "if True:",
+           ("tests/test_engine.py::"
+            "test_frame_durations_are_exact_for_any_whole_m",)),
     Mutant("engine-randomized-slice-ignores-left", ENGINE,
-           "self.picks[offset:offset + min(rows, left)]",
-           "self.picks[offset:offset + rows]",
+           "self.picks[offset:offset + min(k, left)]",
+           "self.picks[offset:offset + k]",
            ("tests/test_engine.py::"
             "test_deliveries_horizon_stops_at_the_target_delivery",
             T_REFERENCE)),
-    Mutant("engine-clock-age-restarts-at-0", ENGINE,
-           "where=np.arange(k) >= rows[:, None]",
-           "where=np.arange(k) > rows[:, None]",
+    Mutant("engine-clock-age-chain-starts-a-frame-late", ENGINE,
+           "sliding_window_view(padded, width)[rows]",
+           "sliding_window_view(padded, width)[rows + 1]",
            ("tests/test_engine.py::"
             "test_block_clock_ages_restart_at_first_and_last_rows",
             "tests/test_engine.py::"
             "test_block_clock_ages_equal_per_frame_additions")),
+    Mutant("engine-run-end-skips-the-refill-account", ENGINE,
+           "    state.account_refill()\n", "", (T_REFERENCE, T_COLLISIONS)),
     Mutant("engine-collision-rate-denominator", ENGINE,
            "collision_rate=(frames - deliveries) / frames,",
            "collision_rate=(frames - deliveries) / (frames + 1),",
@@ -184,6 +206,12 @@ MUTANTS = (
            "params.b_offset + np.floor(two[:, 1])])",
            ("tests/test_engine.py::"
             "test_resolve_rows_equals_resolve_on_every_row",)),
+    Mutant("policies-grid-resolve-collides-at-the-slot-edge", POLICIES,
+           "runner_up / ln_beta < floor_k + 1.0",
+           "runner_up / ln_beta <= floor_k + 1.0",
+           ("tests/test_engine.py::"
+            "test_resolve_from_minimum_equals_discretized_keys",
+            "tests/test_engine.py::test_runner_up_resolve_equals_tie_mask")),
     Mutant("policies-ideal-key-ignores-out", POLICIES,
            "np.positive(log_z, out=out)", "np.positive(log_z)",
            ("tests/test_policies.py", "tests/test_checks.py")),

@@ -454,7 +454,8 @@ def test_block_clock_ages_restart_at_first_and_last_rows():
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, _FRAMES))
+# spans up to a whole refill, past the engine's _CLOCK_FRAMES passes
+@given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, _BLOCK))
 def test_block_clock_ages_equal_per_frame_additions(data, n, k):
     # bit for bit, wherever the block restarts its sources
     def draw_list(elements, size):
@@ -713,10 +714,19 @@ def test_run_results_keep_their_invariants(case):
 # 93 frames 81-83 collide and frame 84 makes the 78th delivery, the last
 # one the horizon needs.  The two refill cases deliver on the last frame
 # of each of their first two refills, frames 1024 and 2048 of the trace,
-# whose estimates the next refill takes over.
+# whose estimates the next refill takes over.  The settle cases hold a
+# collision run that reaches its block's end, so a settle block follows:
+# at B = 0 every frame collides across two refills; at seed 172 the
+# settle block from frame 65 on makes the 40th delivery; at seed 1 the
+# 300-frame cap cuts a settle block short of its refill's end; at seed 0
+# an AoII settle block delivers a source whose estimate the blocks after
+# it decide from.
 _MIXED = BackoffParams(alpha=1.1, beta=1.3, b_offset=30)
 _HEAVY = BackoffParams(alpha=1.1, beta=1.1, b_offset=45)
+_SATURATED = BackoffParams(alpha=2.0, beta=1.1, b_offset=0)
+_AOII_GRID = BackoffParams(alpha=2.1, beta=1.3, b_offset=8)
 _NR = PolicyKind.NEAR_REALISTIC_FRESH_CSMA
+_NR_AOII = PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII
 _CASES = {
     "run ends mid-block": (NetworkConfig(4, (1.0,) * 4, 300, 44), _NR,
                            _MIXED, {}),
@@ -726,14 +736,10 @@ _CASES = {
                          dict(horizon_unit="deliveries", max_frames=100)),
     "target delivery ends a run": (NetworkConfig(4, (1.0,) * 4, 78, 93), _NR,
                                    _HEAVY, dict(horizon_unit="deliveries")),
-    "near-realistic AoII": (NetworkConfig(5, (1.0,) * 5, 1100, 3),
-                            PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII,
-                            BackoffParams(alpha=2.1, beta=1.3, b_offset=8),
-                            dict(markov_q=0.1)),
-    "AoII delivery ends a refill": (
-        NetworkConfig(5, (1.0,) * 5, 2100, 3),
-        PolicyKind.NEAR_REALISTIC_FRESH_CSMA_AOII,
-        BackoffParams(alpha=2.1, beta=1.3, b_offset=8), dict(markov_q=0.1)),
+    "near-realistic AoII": (NetworkConfig(5, (1.0,) * 5, 1100, 3), _NR_AOII,
+                            _AOII_GRID, dict(markov_q=0.1)),
+    "AoII delivery ends a refill": (NetworkConfig(5, (1.0,) * 5, 2100, 3),
+                                    _NR_AOII, _AOII_GRID, dict(markov_q=0.1)),
     "max-weight Markov delivery ends a refill": (
         NetworkConfig(5, (1.0,) * 5, 2100, 3), PolicyKind.MAX_WEIGHT, None,
         dict(markov_q=0.05)),
@@ -741,6 +747,17 @@ _CASES = {
     "B at the domain edge": (NetworkConfig(3, (1.0,) * 3, 300, 1), _NR,
                              BackoffParams(alpha=1.5, beta=1.3,
                                            b_offset=2**52), {}),
+    "saturated run crosses the refill": (NetworkConfig(4, (1.0,) * 4, 2100, 1),
+                                         _NR, _SATURATED, {}),
+    "settle block ends in the deliveries target": (
+        NetworkConfig(4, (1.0,) * 4, 40, 172), _NR_AOII, _AOII_GRID,
+        dict(markov_q=0.1, horizon_unit="deliveries")),
+    "frames cap inside a settle block": (
+        NetworkConfig(4, (1.0,) * 4, 500, 1), _NR, _HEAVY,
+        dict(horizon_unit="deliveries", max_frames=300)),
+    "AoII settle block sets the next block's estimate": (
+        NetworkConfig(5, (1.0,) * 5, 600, 0), _NR_AOII, _AOII_GRID,
+        dict(markov_q=0.1)),
 }
 
 
@@ -748,18 +765,73 @@ def _collided(trace):
     return [" collided=1 " in line for line in trace.splitlines()]
 
 
+def _passes(collided, cap):
+    """The resolve_rows passes of a run whose frames collide as listed,
+    cap being its frame cap, by the block rules: (first frame, rows,
+    whether the pass is a settle block) each.
+
+    A block starts where the one before ended and stops at the refill's
+    end, at the cap and, unless it is a settle block, after _FRAMES
+    frames.  Its walk settles the rows from the second of two colliding
+    frames in a row to the block's end in one pass and goes on after the
+    run's delivery.  A run that reaches the block's end makes the next
+    block a settle block: one pass over all its rows, the block ending at
+    its first delivery.
+    """
+    passes, start, settle = [], 0, False
+    while start < len(collided):
+        end = min(cap, start - start % _BLOCK + _BLOCK,
+                  start + (_BLOCK if settle else _FRAMES))
+        f = start
+        while f < min(end, len(collided)):
+            if settle or f and collided[f - 1] and collided[f]:
+                passes.append((f, end - f, settle))
+                f = next((g for g in range(f, end) if not collided[g]), end)
+                if f == end:
+                    settle = True
+                    break
+                if settle:
+                    settle = False
+                    f += 1
+                    break
+            f += 1
+        start = f
+    return passes
+
+
+def _counting_passes(monkeypatch):
+    """The row counts of every resolve_rows pass the engine makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return policies.resolve_rows(*args)
+
+    monkeypatch.setattr("aoisim.engine.resolve_rows", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", _CASES)
-def test_collision_runs_equal_reference_frame_loop(name):
-    case = _CASES[name]
+def test_collision_runs_equal_reference_frame_loop(name, monkeypatch):
+    config, kind, params, kwargs = case = _CASES[name]
     expected, expected_trace = _outcome(reference.run, *case, traced=True)
+    calls = _counting_passes(monkeypatch)
     result, trace = _outcome(run, *case, traced=True)
     assert result == expected
     assert trace == expected_trace
-    assert _outcome(run, *case, traced=False)[0] == expected
     collided = _collided(trace)
+    # the engine's passes are the ones the block rules make
+    cap = (config.horizon_frames if kwargs.get("horizon_unit") != "deliveries"
+           else kwargs.get("max_frames", 100 * config.horizon_frames))
+    passes = _passes(collided, cap)
+    assert calls == [rows for _, rows, _ in passes]
+    assert _outcome(run, *case, traced=False)[0] == expected
     # each case holds the collision run it is named for
     ends = [f for f in range(2, len(collided))
             if collided[f - 2] and collided[f - 1] and not collided[f]]
+    settled = [(f, rows) for f, rows, settle in passes if settle]
+    delivered = [next((g for g in range(f, min(f + rows, len(collided)))
+                       if not collided[g]), None) for f, rows in settled]
     if name == "run ends mid-block":
         assert any(f % _FRAMES for f in ends)
     elif name == "run crosses a draw block":
@@ -776,6 +848,21 @@ def test_collision_runs_equal_reference_frame_loop(name):
     elif "ends a refill" in name:
         assert not collided[_BLOCK - 1] and not collided[2 * _BLOCK - 1]
         assert result.normalized_avg_aoii > 0
+    elif name == "saturated run crosses the refill":
+        assert result.collision_rate == 1.0
+        assert settled == [(_FRAMES, _BLOCK - _FRAMES), (_BLOCK, _BLOCK),
+                           (2 * _BLOCK, 52)]
+    elif name == "settle block ends in the deliveries target":
+        assert result.delivery_count == 40
+        assert delivered[-1] == len(collided) - 1 > settled[-1][0]
+    elif name == "frames cap inside a settle block":
+        assert result == "frame cap" and len(collided) == 300
+        f, rows = settled[-1]
+        assert f + rows == 300 < f - f % _BLOCK + _BLOCK
+        assert delivered[-1] is None
+    elif name == "AoII settle block sets the next block's estimate":
+        assert result.normalized_avg_aoii > 0
+        assert any(d is not None and d + 1 < len(collided) for d in delivered)
     else:
         assert ends
 
@@ -783,19 +870,27 @@ def test_collision_runs_equal_reference_frame_loop(name):
 def test_a_collision_run_is_settled_in_one_pass(monkeypatch):
     # at B = 0 every timer below one time unit lands in minislot 0, so all
     # four sources collide in every frame.  The run's first frame resolves
-    # alone; from the second on, the rest of each block takes one
-    # resolve_rows pass
-    calls = []
+    # alone; from the second on, the rest of the first block takes one
+    # resolve_rows pass, which reaches its end, so each settle block after
+    # it takes one pass to its refill's end or the horizon
+    calls = _counting_passes(monkeypatch)
+    for frames, passes in (
+            (10 * _FRAMES, [_FRAMES - 1, 9 * _FRAMES]),
+            (2100, [_FRAMES - 1, _BLOCK - _FRAMES, _BLOCK, 2100 - 2 * _BLOCK])):
+        calls.clear()
+        result = run(NetworkConfig(4, (1.0,) * 4, frames, 1), _NR, _SATURATED)
+        assert result.collision_rate == 1.0
+        assert calls == passes
 
-    def counting(*args):
-        calls.append(len(args[0]))
-        return policies.resolve_rows(*args)
 
-    monkeypatch.setattr("aoisim.engine.resolve_rows", counting)
-    result = run(NetworkConfig(4, (1.0,) * 4, 10 * _FRAMES, 1), _NR,
-                 BackoffParams(alpha=2.0, beta=1.1, b_offset=0))
-    assert result.collision_rate == 1.0
-    assert calls == [_FRAMES - 1] + [_FRAMES] * 9
+@pytest.mark.parametrize("m", [10_000, 2**53, 2**53 + 1, 3**40])
+def test_frame_durations_are_exact_for_any_whole_m(m):
+    # a frame lasts 1 + D/M with D/M correctly rounded, as the reference
+    # forms it frame by frame, also for an M that no float holds
+    params = BackoffParams(alpha=1.5, beta=1.1, minislots_per_update=m)
+    case = (NetworkConfig(4, (1.0,) * 4, 300, 7), _NR, params, {})
+    expected = _outcome(reference.run, *case, traced=True)
+    assert _outcome(run, *case, traced=True) == expected
 
 
 @pytest.mark.parametrize("kind", _KINDS, ids=lambda kind: kind.value)
