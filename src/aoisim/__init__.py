@@ -14,12 +14,10 @@ from .core import (
     BackoffParams,
     NetworkConfig,
     ParameterError,
-    ParamsReport,
     RngStream,
     drift_alpha_threshold,
     match_alpha_threshold,
     recommended_defaults,
-    validate_params,
 )
 from .engine import SimulationResult, run
 from .experiments import (
@@ -39,12 +37,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BackoffParams", "CHECKS", "CheckResult", "ExperimentSpec",
-    "NetworkConfig", "ParameterError", "ParamsReport", "PolicyKind",
-    "RngStream", "SimulationResult", "distinct_timer_bound",
-    "drift_alpha_threshold", "lyapunov_drift_pair", "match_alpha_threshold",
-    "match_probability", "overhead_upper_bound", "parse_config", "preset",
-    "recommended_defaults", "run", "run_experiment",
-    "scheduling_probabilities", "stationary_randomized_probs",
-    "timer_separation_term", "upper_incomplete_gamma_zero",
-    "validate_params", "write_csv",
+    "NetworkConfig", "ParameterError", "PolicyKind", "RngStream",
+    "SimulationResult", "distinct_timer_bound", "drift_alpha_threshold",
+    "lyapunov_drift_pair", "match_alpha_threshold", "match_probability",
+    "overhead_upper_bound", "parse_config", "preset", "recommended_defaults",
+    "run", "run_experiment", "scheduling_probabilities",
+    "stationary_randomized_probs", "timer_separation_term",
+    "upper_incomplete_gamma_zero", "write_csv",
 ]

@@ -1,10 +1,10 @@
 """Command-line entry points.
 
-Subcommands: `simulate` runs a single experiment from a flat config
-file, `preset` reproduces a named benchmark scenario at desk scale,
-`sweep` varies one parameter over an explicit range, and `verify` runs
-a named analytical check.  Exit codes: 0 success / all checks pass,
-1 failed check or runtime error, 2 usage or config error.
+Subcommands: `simulate` runs an experiment from a flat config file
+(its `sweep_param` and `sweep_values` keys sweep one parameter),
+`preset` reproduces a named benchmark scenario at desk scale, and
+`verify` runs a named analytical check.  Exit codes: 0 success / all
+checks pass, 1 failed check or runtime error, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .checks import CHECKS
 from .core import DEFAULT_SEED, ParameterError
 from .experiments import (
     PRESET_NAMES,
-    SWEEPABLE,
     ExperimentSpec,
     parse_config,
     preset,
@@ -38,15 +37,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _comma_list(item, noun: str):
-    """An argparse type for a comma list of `item` values."""
-    def parse(text: str) -> tuple:
-        try:
-            return tuple(item(v) for v in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected a comma list of {noun}, got {text!r}") from None
-    return parse
+def _int_list(text: str) -> tuple[int, ...]:
+    """An argparse type for a comma list of integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
 
 
 def _output_path(spec: ExperimentSpec, override: str | None) -> Path:
@@ -64,15 +61,6 @@ def _overrides(args) -> dict:
     given = {"base_seed": args.seed, "horizon": args.horizon,
              "replications": args.replications}
     return {k: v for k, v in given.items() if v is not None}
-
-
-def _load_config(args) -> ExperimentSpec:
-    """The --config spec with --seed, --horizon and --replications applied."""
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParameterError(f"cannot read --config: {exc}") from None
-    return replace(parse_config(text), **_overrides(args))
 
 
 def _emit(spec: ExperimentSpec, output: str | None) -> int:
@@ -93,7 +81,11 @@ def _write_trace(spec: ExperimentSpec, trace_path: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_config(args)
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot read --config: {exc}") from None
+    spec = replace(parse_config(text), **_overrides(args))
     if args.trace:
         _write_trace(spec, args.trace)
     return _emit(spec, args.output)
@@ -102,13 +94,6 @@ def cmd_simulate(args) -> int:
 def cmd_preset(args) -> int:
     spec = preset(args.name, n_values=args.n_values, log_base=args.log_base)
     return _emit(replace(spec, **_overrides(args)), args.output)
-
-
-def cmd_sweep(args) -> int:
-    spec = _load_config(args)
-    spec = replace(spec, sweep_param=args.param, sweep_values=args.values,
-                   scenario=f"{spec.scenario}_sweep_{args.param}")
-    return _emit(spec, args.output)
 
 
 def cmd_verify(args) -> int:
@@ -135,39 +120,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Age-of-information scheduling simulator and bound checker")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # The options simulate, preset and sweep share, each declared once.
+    # The options simulate and preset share, each declared once.
     run_opts = argparse.ArgumentParser(add_help=False)
     run_opts.add_argument("--seed", type=int)
     run_opts.add_argument("--horizon", type=int)
     run_opts.add_argument("--replications", type=int)
     run_opts.add_argument("--output", help="CSV path (default from config/env)")
-    config_opt = argparse.ArgumentParser(add_help=False)
-    config_opt.add_argument("--config", required=True,
-                            help="flat key = value file")
 
-    p_sim = sub.add_parser("simulate", parents=[config_opt, run_opts],
-                           help="run a single experiment config")
+    p_sim = sub.add_parser("simulate", parents=[run_opts],
+                           help="run an experiment config")
+    p_sim.add_argument("--config", required=True, help="flat key = value file")
     p_sim.add_argument("--trace", help="write a per-frame trace to this path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_pre = sub.add_parser("preset", parents=[run_opts],
                            help="reproduce a benchmark scenario")
     p_pre.add_argument("name", choices=PRESET_NAMES)
-    p_pre.add_argument("--n-values", type=_comma_list(int, "integers"),
+    p_pre.add_argument("--n-values", type=_int_list,
                        help="comma list of network sizes (N sweeps only)")
     p_pre.add_argument("--natural-log", dest="log_base", action="store_const",
                        const=math.e, default=10.0,
                        help="use natural logs in the parameter formulas "
                             "(base-10 is the default)")
     p_pre.set_defaults(func=cmd_preset)
-
-    p_swp = sub.add_parser("sweep", parents=[config_opt, run_opts],
-                           help="sweep one parameter over a range")
-    p_swp.add_argument("--param", required=True, choices=SWEEPABLE)
-    p_swp.add_argument("--values", required=True,
-                       type=_comma_list(float, "numbers"),
-                       help="comma list of values")
-    p_swp.set_defaults(func=cmd_sweep)
 
     p_ver = sub.add_parser("verify", help="run an analytical check")
     p_ver.add_argument("check", choices=sorted(CHECKS))

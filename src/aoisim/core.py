@@ -2,14 +2,15 @@
 
 The contention rule itself (exponents, keys, the minislot map and the
 resolution of a contention) lives in policies; this module only
-describes a network and its protocol parameters, grades and recommends
-those parameters, and supplies the seeded streams every draw comes from.
+describes a network and its protocol parameters, states their guarantee
+thresholds and recommended values, and supplies the seeded streams every
+draw comes from.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -237,34 +238,18 @@ class BackoffParams:
                                whole_number(name, getattr(self, name), least))
         if not 0 <= self.b_offset <= 2**52:
             raise ParameterError(f"b_offset must be in [0, 2**52], got {self.b_offset}")
+        # Every M up to 2**53 is a float, so a frame's s / M is one
+        # correctly rounded float division.
+        if self.minislots_per_update > 2**53:
+            raise ParameterError("minislots_per_update must be in [1, 2**53], "
+                                 f"got {self.minislots_per_update}")
         object.__setattr__(self, "ln_alpha", math.log(self.alpha))
         object.__setattr__(self, "ln_beta", math.log(self.beta))
 
 
 # ---------------------------------------------------------------------------
-# Parameter validation and recommended defaults
+# Guarantee thresholds and recommended defaults
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParamsReport:
-    """Advisory report on protocol parameters for a given network.
-
-    match_alpha_threshold is the alpha above which the distributed rule
-    lands on the max-weight argmax set with probability >= 1 - delta in
-    every frame; drift_alpha_threshold is the alpha above which its
-    one-frame Lyapunov drift is dominated by the optimal stationary
-    randomized policy's.  Falling short of either is a warning, not an
-    error: small alphas are routinely used and perform well.
-    """
-
-    match_delta: float
-    match_alpha_threshold: float
-    match_ok: bool
-    drift_alpha_threshold: float
-    drift_ok: bool
-    recommended: BackoffParams
-    warnings: tuple[str, ...] = field(default_factory=tuple)
-
 
 def match_alpha_threshold(n_sources: int, delta: float) -> float:
     """Smallest alpha guaranteeing per-frame match probability 1 - delta."""
@@ -308,36 +293,3 @@ def recommended_defaults(n_sources: int, weights: Sequence[float], *,
     return BackoffParams(alpha=1.0 + 1.0 / float(w.sum()),
                          beta=1.1 + max(loglog, 0.0),
                          b_offset=250 + n_sources)
-
-
-def validate_params(config: NetworkConfig, params: BackoffParams,
-                    delta: float = 0.1) -> ParamsReport:
-    """Check protocol parameters against the per-frame and long-horizon
-    guarantee thresholds and report the recommended defaults.
-
-    Structural validity is enforced by the dataclasses themselves; this
-    only grades an already-valid pairing.
-    """
-    n = config.n_sources
-    thr_match = match_alpha_threshold(n, delta)
-    thr_drift = float(drift_alpha_threshold(config.weights))
-    warnings = []
-    match_ok = params.alpha >= thr_match
-    drift_ok = params.alpha > thr_drift
-    if not match_ok:
-        warnings.append(
-            f"alpha={params.alpha:g} is below the per-frame match threshold "
-            f"{thr_match:g} for delta={delta:g}; match probability is not guaranteed")
-    if not drift_ok:
-        warnings.append(
-            f"alpha={params.alpha:g} is below the drift-domination threshold "
-            f"{thr_drift:g}; the long-horizon guarantee does not apply")
-    return ParamsReport(
-        match_delta=delta,
-        match_alpha_threshold=thr_match,
-        match_ok=match_ok,
-        drift_alpha_threshold=thr_drift,
-        drift_ok=drift_ok,
-        recommended=recommended_defaults(n, config.weights),
-        warnings=tuple(warnings),
-    )

@@ -485,16 +485,12 @@ class _RunState:
         self.refill_won += won
         if discrete:
             # A frame lasts 1 + s / M, s / M the correctly rounded quotient.
-            # Minislots are whole numbers below 2**53, exact in int64 and in
-            # floats, so for an M that is a float too one array division
-            # gives every quotient; any other M divides frame by frame.
+            # Minislots are whole numbers below 2**53 and BackoffParams
+            # keeps M at most 2**53, so both are exact floats and one array
+            # division gives every quotient.
             slots = np.array(slots)
             durations = self.durations[offset:offset + done]
-            m = params.minislots_per_update
-            if float(m) == m:
-                np.divide(slots, float(m), out=durations)
-            else:
-                durations[:] = [s / m for s in slots.tolist()]
+            np.divide(slots, float(params.minislots_per_update), out=durations)
             durations += 1.0
             self.overhead_minislots += int(slots.sum())
         else:

@@ -36,7 +36,6 @@ DEFAULT_HORIZON = 100_000
 # Each sweepable parameter and the type its swept value is converted to.
 _SWEEP_TYPES = {"n_sources": int, "alpha": float, "beta": float,
                 "b_offset": int}
-SWEEPABLE = tuple(_SWEEP_TYPES)
 _WEIGHT_NAMES = ("ones", "sqrt")
 
 CSV_COLUMNS = (
@@ -78,9 +77,9 @@ class ExperimentSpec:
         if (self.sweep_param is None) != (self.sweep_values is None):
             raise ParameterError("sweep_param and sweep_values go together")
         if self.sweep_param is not None:
-            if self.sweep_param not in SWEEPABLE:
+            if self.sweep_param not in _SWEEP_TYPES:
                 raise ParameterError(f"cannot sweep {self.sweep_param!r}; "
-                                     f"choose one of {SWEEPABLE}")
+                                     f"choose one of {tuple(_SWEEP_TYPES)}")
             if len(self.sweep_values) == 0:
                 raise ParameterError("sweep_values is empty")
             if _SWEEP_TYPES[self.sweep_param] is int:

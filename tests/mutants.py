@@ -122,10 +122,6 @@ MUTANTS = (
     Mutant("engine-settle-block-reads-the-other-estimate", ENGINE,
            "mismatch = (x[:-1] != self.x_est) * length",
            "mismatch = (x[:-1] == self.x_est) * length", (T_COLLISIONS,)),
-    Mutant("engine-durations-divide-by-an-inexact-m", ENGINE,
-           "if float(m) == m:", "if True:",
-           ("tests/test_engine.py::"
-            "test_frame_durations_are_exact_for_any_whole_m",)),
     Mutant("engine-randomized-slice-ignores-left", ENGINE,
            "self.picks[offset:offset + min(k, left)]",
            "self.picks[offset:offset + k]",
@@ -145,6 +141,12 @@ MUTANTS = (
            "collision_rate=(frames - deliveries) / frames,",
            "collision_rate=(frames - deliveries) / (frames + 1),",
            ("tests/test_engine.py::test_run_results_keep_their_invariants",)),
+    # the BackoffParams domain: every M a float, so one array division
+    # gives a refill's frame durations
+    Mutant("core-m-unbounded", CORE,
+           "if self.minislots_per_update > 2**53:", "if False:",
+           ("tests/test_core.py::"
+            "test_backoff_params_reject_values_outside_the_domain",)),
     # whole-number rule
     Mutant("whole-config-n-sources", CORE,
            'for name, least in (("n_sources", None), ("horizon_frames", 1),',

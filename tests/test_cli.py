@@ -126,16 +126,24 @@ def test_trace_requires_single_policy(tmp_path):
                  "--trace", str(tmp_path / "t.txt")]) == 2
 
 
+def _sweep(tmp_path, param, values, base=TINY_CONFIG):
+    """A config file: base with a sweep of param over values."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"{base}\nsweep_param = {param}\nsweep_values = {values}")
+    return cfg
+
+
 def test_sweep_command(tmp_path):
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text("scenario = s\npolicies = near_realistic_fresh_csma\n"
-                   "n_sources = 3\nhorizon = 300\nhorizon_unit = frames\nseed = 3")
+    # a config's sweep keys are the one way to run a sweep
+    cfg = _sweep(tmp_path, "beta", "1.4, 1.2",
+                 "scenario = s\npolicies = near_realistic_fresh_csma\n"
+                 "n_sources = 3\nhorizon = 300\nhorizon_unit = frames\n"
+                 "seed = 3")
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg), "--param", "beta",
-                 "--values", "1.4,1.2", "--output", str(out)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
     rows = _read_rows(out)
     assert [r["sweep_value"] for r in rows] == ["1.2", "1.4"]
-    assert rows[0]["scenario"] == "s_sweep_beta"
+    assert {r["scenario"] for r in rows} == {"s"}
 
 
 def _exit_code(argv):
@@ -162,23 +170,23 @@ def test_preset_n_values_without_an_n_sweep_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate"], ["sweep", "--param", "beta", "--values", "1.2"]])
+    ["simulate", "--config", "{cfg}"],
+    ["preset", "fig3_symmetric", "--n-values", "2", "--horizon", "20"]])
 def test_trials_is_not_an_alias_of_replications(command, tmp_path):
     # --trials means random states, under verify only
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(TINY_CONFIG)
     out = tmp_path / "out.csv"
-    assert _exit_code(command + ["--config", str(cfg), "--trials", "3",
-                                 "--output", str(out)]) == 2
+    argv = [arg.format(cfg=cfg) for arg in command]
+    assert _exit_code(argv + ["--trials", "3", "--output", str(out)]) == 2
     assert not out.exists()
 
 
-def test_sweep_malformed_values_exits_2(tmp_path):
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text(TINY_CONFIG)
+def test_sweep_malformed_values_exits_2(tmp_path, capsys):
+    cfg = _sweep(tmp_path, "beta", "1.1, y")
     out = tmp_path / "out.csv"
-    assert _exit_code(["sweep", "--config", str(cfg), "--param", "beta",
-                       "--values", "1.1,y", "--output", str(out)]) == 2
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+    assert ": sweep_values: " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -188,30 +196,25 @@ def test_sweep_malformed_values_exits_2(tmp_path):
 ])
 def test_sweep_fractional_integer_values_exit_2(param, values, tmp_path,
                                                 capsys):
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text(TINY_CONFIG)
+    cfg = _sweep(tmp_path, param, values)
     out = tmp_path / "out.csv"
-    assert main(["sweep", "--config", str(cfg), "--param", param,
-                 "--values", values, "--output", str(out)]) == 2
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
     assert "sweep value must be a whole number" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_sweep_b_offset_past_the_domain_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text(TINY_CONFIG)
+    cfg = _sweep(tmp_path, "b_offset", "9007199254740995")
     out = tmp_path / "out.csv"
-    assert main(["sweep", "--config", str(cfg), "--param", "b_offset",
-                 "--values", "9007199254740995", "--output", str(out)]) == 2
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
     assert "2**52" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_sweep_empty_config_reports_missing_policies(tmp_path, capsys):
-    cfg = tmp_path / "empty.cfg"
-    cfg.write_text("")
-    assert main(["sweep", "--config", str(cfg), "--param", "beta",
-                 "--values", "1.2"]) == 2
+    # a config that holds only the sweep keys
+    cfg = _sweep(tmp_path, "beta", "1.2", base="")
+    assert main(["simulate", "--config", str(cfg)]) == 2
     assert "config needs a 'policies' key" in capsys.readouterr().err
 
 
@@ -287,7 +290,11 @@ def test_verify_command_failure_exits_1(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_usage_error_exits_2():
+def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm99"])
     assert exc.value.code == 2
+    # simulate, preset and verify are the commands; sweeps run from a config
+    capsys.readouterr()
+    assert _exit_code(["sweep", "--config", "exp.cfg"]) == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err

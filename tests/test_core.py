@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import re
@@ -18,7 +19,6 @@ from aoisim import (
     match_alpha_threshold,
     recommended_defaults,
     stationary_randomized_probs,
-    validate_params,
 )
 from aoisim.analysis import log_sum_exp
 from aoisim.policies import minislots
@@ -350,12 +350,16 @@ def test_backoff_params_validation():
 
 
 def test_backoff_params_reject_values_outside_the_domain():
-    # B = 2**53 + 3 once made resolve return minislot -1; both errors
-    # name the bound
+    # B = 2**53 + 3 once made resolve return minislot -1; an M that no
+    # float holds would need a division per frame.  Each error names the
+    # bound
     with pytest.raises(ParameterError, match=r"2\*\*52"):
         BackoffParams(alpha=1.5, beta=1.3, b_offset=2**53 + 3)
     with pytest.raises(ParameterError, match=r"1 \+ 2\*\*-40"):
         BackoffParams(alpha=1.5, beta=1.0 + 2**-41)
+    for m in (2**53 + 1, 3**40):
+        with pytest.raises(ParameterError, match=r"\[1, 2\*\*53\]"):
+            BackoffParams(alpha=1.5, beta=1.1, minislots_per_update=m)
 
 
 def test_backoff_params_logs_leave_repr_eq_and_hash_alone():
@@ -448,21 +452,6 @@ def test_recommended_defaults_rejects_bad_input(n, weights, log_base):
         recommended_defaults(n, weights, log_base=log_base)
 
 
-def test_validate_params_report():
-    config = NetworkConfig(10, tuple([1.0] * 10), 100, 1)
-    report = validate_params(config, BackoffParams(alpha=81.0), delta=0.1)
-    assert report.match_alpha_threshold == pytest.approx(81.0)
-    assert report.match_ok
-    assert report.drift_alpha_threshold == pytest.approx(90.0)
-    assert not report.drift_ok
-    assert len(report.warnings) == 1
-
-    report_small = validate_params(config, BackoffParams(alpha=1.1), delta=0.1)
-    assert not report_small.match_ok and not report_small.drift_ok
-    assert len(report_small.warnings) == 2
-    assert report_small.recommended.alpha == pytest.approx(1.1)
-
-
 def test_readme_export_table_equals_all():
     # README's "The package exports" table lists exactly aoisim.__all__
     readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -474,15 +463,41 @@ def test_readme_export_table_equals_all():
     assert sorted(names) == sorted(aoisim.__all__)
 
 
+def test_every_export_is_used_by_the_package():
+    # no public API that only tests use: each name in __all__ is loaded
+    # (named, called, constructed) or imported by a package module other
+    # than __init__
+    used = set()
+    for path in Path(aoisim.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(aoisim.__all__) - used) == []
+
+
 def test_readme_domain_equals_backoff_params_bounds():
     # README states the domain that BackoffParams enforces: its edges are
     # accepted and the next values past them are not
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    m = re.search(r"`beta >= 1 \+ 2\*\*(-\d+)` and "
-                  r"`0 <= b_offset <= 2\*\*(\d+)`", readme)
+    m = re.search(r"`beta >= 1 \+ 2\*\*(-\d+)`,\s+"
+                  r"`0 <= b_offset <= 2\*\*(\d+)`\s+and\s+"
+                  r"`(\d+) <= minislots_per_update <= 2\*\*(\d+)`", readme)
     beta_min, b_max = 1.0 + 2.0 ** int(m[1]), 2 ** int(m[2])
-    BackoffParams(alpha=2.0, beta=beta_min, b_offset=b_max)
+    m_min, m_max = int(m[3]), 2 ** int(m[4])
+    for m_edge in (m_min, m_max):
+        BackoffParams(alpha=2.0, beta=beta_min, b_offset=b_max,
+                      minislots_per_update=m_edge)
     with pytest.raises(ParameterError):
         BackoffParams(alpha=2.0, beta=float(np.nextafter(beta_min, 0.0)))
     with pytest.raises(ParameterError):
         BackoffParams(alpha=2.0, b_offset=b_max + 1)
+    for m_past in (m_min - 1, m_max + 1):
+        with pytest.raises(ParameterError):
+            BackoffParams(alpha=2.0, minislots_per_update=m_past)
