@@ -883,10 +883,16 @@ def test_a_collision_run_is_settled_in_one_pass(monkeypatch):
         assert calls == passes
 
 
-@pytest.mark.parametrize("m", [10_000, 2**53])
+@pytest.mark.parametrize("m", [10_000, 2**53, 2**53 + 1, 3**40])
 def test_frame_durations_are_exact_for_any_whole_m(m):
     # a frame lasts 1 + D/M with D/M correctly rounded, as the reference
-    # forms it frame by frame, up to BackoffParams' largest M
+    # forms it frame by frame, up to BackoffParams' largest M.  The run's
+    # one array division would round an M that no float holds before
+    # dividing, so such an M must be refused before any run
+    if m > 2**53:
+        with pytest.raises(ParameterError, match=r"\[1, 2\*\*53\]"):
+            BackoffParams(alpha=1.5, beta=1.1, minislots_per_update=m)
+        return
     params = BackoffParams(alpha=1.5, beta=1.1, minislots_per_update=m)
     case = (NetworkConfig(4, (1.0,) * 4, 300, 7), _NR, params, {})
     expected = _outcome(reference.run, *case, traced=True)
